@@ -11,6 +11,7 @@
 
 #include <random>
 
+#include "ra/control.h"
 #include "ra/simulate.h"
 #include "workflow/builder.h"
 
@@ -39,8 +40,10 @@ void BM_GuidedSampling(benchmark::State& state) {
   db.Insert(0, {1});
   db.Insert(0, {2});
   std::mt19937 rng(99);
+  const ControlAlphabet alphabet(a);
   SimulateOptions options;
   options.assignment_attempts = 16;  // tight budget: guided still succeeds
+  options.guards = alphabet.transition_guard_view();
   size_t successes = 0, trials = 0;
   for (auto _ : state) {
     ++trials;

@@ -8,6 +8,7 @@
 
 #include "bench_common.h"
 #include "ra/emptiness.h"
+#include "ra/control.h"
 #include "ra/simulate.h"
 
 namespace rav {
@@ -18,9 +19,13 @@ void BM_SampleRunThroughput(benchmark::State& state) {
   RegisterAutomaton a = bench::MakeShiftRing(k, 4);
   Database db{Schema()};
   std::mt19937 rng(1234);
+  // Lower the guards once for the whole loop, as a loop caller should.
+  const ControlAlphabet alphabet(a);
+  SimulateOptions options;
+  options.guards = alphabet.transition_guard_view();
   size_t positions = 0;
   for (auto _ : state) {
-    auto run = SampleRun(a, db, 64, rng);
+    auto run = SampleRun(a, db, 64, rng, options);
     if (run.has_value()) positions += run->length();
     benchmark::DoNotOptimize(run);
   }

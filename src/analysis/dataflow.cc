@@ -109,25 +109,14 @@ struct FireabilityProblem {
   const compile::GuardTableSet* tables;
   const std::vector<GuardId>* guard_id;
   const std::vector<bool>* state_live;
-  // Pairwise frontier-compatibility memo (-1 unknown / 0 / 1), indexed
-  // before * num_guards + after — the same conjunction the local RAV003
-  // pass evaluates, shared across the whole fixpoint.
-  std::vector<int8_t>* compat_memo;
+  // Pairwise frontier compatibility — the same conjunction the local
+  // RAV003 pass evaluates, memoized across the whole fixpoint.
+  compile::FrontierCompatibility* frontiers;
 
   int num_guards() const { return tables->num_guards(); }
 
   bool Compatible(GuardId before, GuardId after) const {
-    int8_t& memo =
-        (*compat_memo)[static_cast<size_t>(before.value()) * num_guards() +
-                       after.value()];
-    if (memo < 0) {
-      memo = tables->y_restricted_as_x(before)
-                     .Conjoin(tables->x_restricted(after))
-                     .ok()
-                 ? 1
-                 : 0;
-    }
-    return memo == 1;
+    return frontiers->Compatible(before, after);
   }
 
   bool Enterable(const Fact& arrival, GuardId guard) const {
@@ -351,10 +340,9 @@ FlowAnalysisResult RunFlowAnalyses(
   // --- RAV012: forward fireability through compiled guard frontiers ---
   {
     RAV_TRACE_SPAN("fireability");
-    std::vector<int8_t> compat_memo(
-        static_cast<size_t>(tables.num_guards()) * tables.num_guards(), -1);
+    compile::FrontierCompatibility frontiers(tables);
     FireabilityProblem problem{&graph, &tables, &guard_id, &state_live,
-                               &compat_memo};
+                               &frontiers};
     std::vector<std::vector<bool>> arrival = RunFixpoint(
         graph, FlowDirection::kForward, problem, &result.fireability_rounds);
     for (int ti = 0; ti < num_transitions; ++ti) {

@@ -1,7 +1,5 @@
 #include "analysis/lint.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <queue>
 #include <string>
 #include <utility>
@@ -282,20 +280,9 @@ void CheckTransitions(const RegisterAutomaton& a, Analysis& analysis) {
       in_live[t.to.value()].push_back(ti);
     }
   }
-  std::vector<int8_t> compat_memo(
-      static_cast<size_t>(num_guards) * num_guards, -1);
+  compile::FrontierCompatibility frontiers(tables);
   auto compatible = [&](int before, int after) {
-    int8_t& memo =
-        compat_memo[static_cast<size_t>(guard_id[before].value()) * num_guards +
-                    guard_id[after].value()];
-    if (memo < 0) {
-      memo = tables.y_restricted_as_x(guard_id[before])
-                     .Conjoin(tables.x_restricted(guard_id[after]))
-                     .ok()
-                 ? 1
-                 : 0;
-    }
-    return memo == 1;
+    return frontiers.Compatible(guard_id[before], guard_id[after]);
   };
   std::vector<int8_t> completion_memo(num_guards, -1);
   auto has_completion = [&](int ti) {
@@ -593,15 +580,6 @@ void CountLint(Analysis& analysis) {
   SortDiagnostics(analysis.diagnostics);
 }
 
-// RAV_STRIP_FLOW=off (or =0) disables the flow passes inside
-// AnalyzeAndStrip — a fault-matrix switch (tools/run_ci.sh): turning it
-// off may only cost strip power, never change a decision verdict.
-bool StripFlowEnabled() {
-  const char* env = std::getenv("RAV_STRIP_FLOW");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-}
-
 // Copies `dfa` (alphabet = old state set) onto the surviving state
 // alphabet. Removed symbols never occur on stripped control paths, so
 // dropping their columns preserves every matched factor.
@@ -669,8 +647,7 @@ StripResult AnalyzeAndStrip(const ExtendedAutomaton& era, StripEffort effort,
   const RegisterAutomaton& a = era.automaton();
   const bool guard_passes = effort == StripEffort::kFull;
   const bool flow_passes =
-      (effort == StripEffort::kFull || effort == StripEffort::kFlow) &&
-      StripFlowEnabled();
+      effort == StripEffort::kFull || effort == StripEffort::kFlow;
   Analysis analysis =
       Analyze(a, &era.constraints(), guard_passes, flow_passes, governor);
   CountLint(analysis);

@@ -99,9 +99,7 @@ enum class StripEffort {
   // decision procedures run at this tier once the automaton clears
   // their transition-count floor (min_flow_strip_transitions in the
   // search options — the flat fixpoint cost is not worth paying on a
-  // tiny search). RAV_STRIP_FLOW=off (or =0)
-  // disables the flow passes in AnalyzeAndStrip at any tier — the
-  // verdict must not change, only the work to reach it.
+  // tiny search).
   kFlow,
 };
 

@@ -238,8 +238,16 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxParseDepth) {
+        return Error("nesting deeper than " +
+                     std::to_string(Json::kMaxParseDepth) + " levels");
+      }
+      ++depth_;
+      Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       RAV_ASSIGN_OR_RETURN(std::string s, ParseString());
       return Json::String(s);
@@ -377,6 +385,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the current value
 };
 
 }  // namespace

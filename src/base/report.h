@@ -80,8 +80,11 @@ class Json {
   std::string Dump(int indent = 0) const;
 
   // Strict parser for the subset this writer produces (standard JSON
-  // without comments; duplicate keys keep the last value).
+  // without comments; duplicate keys keep the last value). Arrays and
+  // objects nested deeper than kMaxParseDepth are a parse error: the
+  // parser recurses once per level, and its input can come off a socket.
   static Result<Json> Parse(std::string_view text);
+  static constexpr int kMaxParseDepth = 256;
 
  private:
   void DumpTo(std::string& out, int indent, int depth) const;

@@ -1,50 +1,15 @@
 #include "compile/guard_tables.h"
 
-#include <cstdlib>
-
 #include "base/logging.h"
 
 namespace rav::compile {
-
-const char* GuardEngineName(GuardEngine engine) {
-  switch (engine) {
-    case GuardEngine::kInterpreted:
-      return "interpreted";
-    case GuardEngine::kCompiled:
-      return "compiled";
-    case GuardEngine::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-std::optional<GuardEngine> ParseGuardEngine(std::string_view name) {
-  if (name == "interpreted") return GuardEngine::kInterpreted;
-  if (name == "compiled") return GuardEngine::kCompiled;
-  if (name == "auto") return GuardEngine::kAuto;
-  return std::nullopt;
-}
-
-GuardEngine ResolveGuardEngine(GuardEngine requested) {
-  if (requested != GuardEngine::kAuto) return requested;
-  // The escape hatch: RAV_GUARD_TABLES=off reverts every kAuto consumer to
-  // the interpreted reference without a rebuild (docs/compilation.md).
-  const char* env = std::getenv("RAV_GUARD_TABLES");
-  if (env != nullptr) {
-    const std::string_view v(env);
-    if (v == "off" || v == "0" || v == "interpreted") {
-      return GuardEngine::kInterpreted;
-    }
-  }
-  return GuardEngine::kCompiled;
-}
 
 namespace {
 
 // Lowers one type into its closure/eval ops: union pairs (first element of
 // each class, later element), diseq pairs between first elements, adom
-// marks of positive-atom argument classes — the same instruction stream
-// ConstraintClosure::CompileType derives per closure, now computed once.
+// marks of positive-atom argument classes — the instruction stream the
+// closure engine replays per window position, computed once per guard.
 // `rep` is reused scratch; returns the per-class representative elements.
 void LowerOps(const Type& t, std::vector<int>& rep, GuardOps& ops) {
   rep.assign(t.num_classes(), -1);
@@ -226,6 +191,20 @@ void GuardTableSet::EvalBatch(GuardId id, const DataValue* soa, size_t count,
       }
     }
   }
+}
+
+bool FrontierCompatibility::Compatible(GuardId before, GuardId after) {
+  int8_t& memo = memo_[static_cast<size_t>(before.value()) *
+                           tables_->num_guards() +
+                       after.value()];
+  if (memo < 0) {
+    memo = tables_->y_restricted_as_x(before)
+                   .Conjoin(tables_->x_restricted(after))
+                   .ok()
+               ? 1
+               : 0;
+  }
+  return memo == 1;
 }
 
 }  // namespace rav::compile

@@ -6,16 +6,15 @@
 // build time, into a flat dense program over its 2k variables + schema
 // constants, and candidate valuations are evaluated against the program —
 // one at a time (Holds) or as an SoA batch in one branch-free pass over
-// each instruction (EvalBatch). The interpreted Type::HoldsIn walk stays
-// alive as the differential-testing reference behind GuardEngine, with the
-// RAV_GUARD_TABLES=off escape hatch.
+// each instruction (EvalBatch). This is the only production guard
+// evaluator; the Type::HoldsIn walk survives as the reference the tests
+// and the brute-force searches check it against.
 //
 // This layer depends only on types/ + relational/ + base, so ra/ and era/
 // can both consume it without cycles.
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,24 +25,6 @@
 
 namespace rav::compile {
 
-// Which guard-evaluation engine a consumer runs with, mirroring
-// ClosureEngine: kInterpreted walks the canonical Type per valuation (the
-// reference), kCompiled replays the lowered table program, and the default
-// kAuto resolves through the RAV_GUARD_TABLES environment variable —
-// "off"/"0"/"interpreted" forces the interpreted path, anything else (or
-// unset) selects the compiled one.
-enum class GuardEngine {
-  kInterpreted,
-  kCompiled,
-  kAuto,
-};
-
-// Stable name ("interpreted", "compiled", "auto") / its inverse.
-const char* GuardEngineName(GuardEngine engine);
-std::optional<GuardEngine> ParseGuardEngine(std::string_view name);
-// Resolves kAuto through RAV_GUARD_TABLES; explicit engines pass through.
-GuardEngine ResolveGuardEngine(GuardEngine requested);
-
 // Per-worker compiled-evaluation tallies; owned by one thread, merged into
 // SearchStats after the fact (era/guard/* metrics).
 struct GuardStats {
@@ -52,11 +33,10 @@ struct GuardStats {
 };
 
 // A guard's per-position closure operations in element-index form — the
-// exact program ConstraintClosure's linear engine replays at every window
-// position (see ClosureScratch::TypeProgram): union pairs (class
-// representative, later element), disequality pairs between
-// representatives, and adom marks from positive atoms. Precomputing them
-// here removes the per-closure CompileType pass.
+// program ConstraintClosure's linear engine replays at every window
+// position: union pairs (class representative, later element),
+// disequality pairs between representatives, and adom marks from positive
+// atoms.
 struct GuardOps {
   std::vector<std::pair<int, int>> unions;
   std::vector<std::pair<int, int>> diseqs;
@@ -156,10 +136,33 @@ class GuardTableSet {
   size_t table_bytes_ = 0;
 };
 
+// Memoized frontier compatibility between distinct guards: whether
+// `before`'s ȳ-frontier conjoins with `after`'s x̄-frontier —
+// RestrictToYAsX(before).Conjoin(RestrictToX(after)).ok(), on the
+// precomputed restrictions. Each pair runs its Conjoin once, on first ask.
+// The SControl construction and the lint/dataflow passes all decide
+// consecutive-transition compatibility through it. Not thread-safe (the
+// memo fills lazily); `tables` must outlive it.
+class FrontierCompatibility {
+ public:
+  explicit FrontierCompatibility(const GuardTableSet& tables)
+      : tables_(&tables),
+        memo_(static_cast<size_t>(tables.num_guards()) * tables.num_guards(),
+              -1) {}
+
+  bool Compatible(GuardId before, GuardId after);
+
+ private:
+  const GuardTableSet* tables_;
+  std::vector<int8_t> memo_;  // before * num_guards + after; -1 unknown
+};
+
 // A borrowed view tying an automaton's transitions to a compiled table
 // set: guard_id_of_transition[ti] is the table id of transition ti's
-// guard. Null `tables` means "interpreted" — consumers fall back to
-// Type::HoldsIn. Both pointers must outlive the view's uses.
+// guard. A default (null) view selects the Type::HoldsIn reference in the
+// run validators — the oracle tests re-check compiled answers with; every
+// production caller passes its alphabet's view. Both pointers must
+// outlive the view's uses.
 struct TransitionGuardView {
   const GuardTableSet* tables = nullptr;
   const GuardId* guard_id_of_transition = nullptr;

@@ -152,27 +152,6 @@ void ConstraintClosure::ApplyOneType(const Type& t, const int* element_to_node,
   }
 }
 
-void ConstraintClosure::CompileType(const Type& t, ClosureScratch& scratch,
-                                    ClosureScratch::TypeProgram& program) {
-  std::vector<int>& rep = scratch.type_rep_;
-  rep.assign(t.num_classes(), -1);
-  for (int e = 0; e < t.num_elements(); ++e) {
-    int c = t.ClassOf(e);
-    if (rep[c] < 0) {
-      rep[c] = e;
-    } else {
-      program.unions.emplace_back(rep[c], e);
-    }
-  }
-  for (const auto& [c1, c2] : t.disequalities()) {
-    program.diseqs.emplace_back(rep[c1], rep[c2]);
-  }
-  for (const TypeAtom& a : t.atoms()) {
-    if (!a.positive) continue;
-    for (int c : a.args) program.adom.push_back(rep[c]);
-  }
-}
-
 void ConstraintClosure::ReferenceApplyTypes(size_t from_pos,
                                             ClosureScratch& scratch) {
   // The original per-position path: every position re-derives class
@@ -200,95 +179,43 @@ void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
     ReferenceApplyTypes(from_pos, scratch);
     return;
   }
-  // With a compiled alphabet the per-symbol programs already exist as
-  // compile::GuardOps (lowered once at alphabet build, shared across every
-  // closure and every worker) — replay them directly, skipping the
-  // per-pass CompileType stage below entirely.
-  if (const compile::GuardTableSet* tables = alphabet_->tables()) {
-    SymbolCursor cursor(word_, from_pos);
-    for (size_t n = from_pos; n + 1 < window_; ++n) {
-      const int sym = cursor.Next();
-      // One dense load per position; -1 marks a data-trivial guard whose
-      // program is empty — the same skip the interpreted path's
-      // kEmptyProgram marker takes.
-      const GuardId gid = alphabet_->closure_program_of_symbol(SymbolId(sym));
-      if (!gid.valid()) continue;
-      const compile::GuardOps& ops = tables->closure_ops(gid);
-      const int base = num_constants_ + static_cast<int>(n) * k_;
-      const int two_k = 2 * k_;
-      auto node = [&](int e) { return e < two_k ? base + e : e - two_k; };
-      for (const auto& [a, b] : ops.unions) uf_.Union(node(a), node(b));
-      for (const auto& [a, b] : ops.diseqs) {
-        raw_ineq_.emplace_back(node(a), node(b));
-      }
-      for (int e : ops.adom) node_in_adom_[node(e)] = true;
-    }
-    // Last position: the precompiled x̄-restricted program over
-    // (k registers at window_-1, constants).
-    const GuardId last_gid = alphabet_->x_closure_program_of_symbol(
-        SymbolId(word_.SymbolAt(window_ - 1)));
-    if (!last_gid.valid()) return;
-    const compile::GuardOps& last_ops = tables->x_closure_ops(last_gid);
-    const int base = num_constants_ + static_cast<int>(window_ - 1) * k_;
-    auto node = [&](int e) { return e < k_ ? base + e : e - k_; };
-    for (const auto& [a, b] : last_ops.unions) uf_.Union(node(a), node(b));
-    for (const auto& [a, b] : last_ops.diseqs) {
-      raw_ineq_.emplace_back(node(a), node(b));
-    }
-    for (int e : last_ops.adom) node_in_adom_[node(e)] = true;
-    return;
-  }
-  std::vector<int>& nodes = scratch.element_nodes_;
-  // Full types of positions with a successor inside the window. The 2k-var
-  // type's elements map to (x̄ at n, ȳ at n+1, constants); since
+  // The per-symbol programs are compile::GuardOps, lowered once at
+  // alphabet build and shared across every closure and every worker.
+  // Full types of positions with a successor inside the window: the
+  // 2k-var type's elements map to (x̄ at n, ȳ at n+1, constants); since
   // NodeOf(n + 1, e - k) == NodeOf(n, e) for k <= e < 2k, element e maps
   // to num_constants_ + n·k + e for e < 2k and to constant e - 2k after.
-  // Each distinct symbol is compiled once, then replayed per position.
-  constexpr int kUncompiled = -1;
-  constexpr int kEmptyProgram = -2;  // trivial guard: nothing to replay
-  scratch.program_of_symbol_.assign(alphabet_->size(), kUncompiled);
-  scratch.programs_used_ = 0;
+  const compile::GuardTableSet& tables = alphabet_->tables();
   SymbolCursor cursor(word_, from_pos);
   for (size_t n = from_pos; n + 1 < window_; ++n) {
     const int sym = cursor.Next();
-    int pi = scratch.program_of_symbol_[sym];
-    if (pi == kEmptyProgram) continue;
-    if (pi == kUncompiled) {
-      pi = scratch.programs_used_;
-      if (static_cast<size_t>(pi) == scratch.programs_.size()) {
-        scratch.programs_.emplace_back();
-      }
-      ClosureScratch::TypeProgram& fresh = scratch.programs_[pi];
-      fresh.unions.clear();
-      fresh.diseqs.clear();
-      fresh.adom.clear();
-      CompileType(alphabet_->guard_of(SymbolId(sym)), scratch, fresh);
-      if (fresh.unions.empty() && fresh.diseqs.empty() &&
-          fresh.adom.empty()) {
-        scratch.program_of_symbol_[sym] = kEmptyProgram;
-        continue;
-      }
-      ++scratch.programs_used_;
-      scratch.program_of_symbol_[sym] = pi;
-    }
-    const ClosureScratch::TypeProgram& p = scratch.programs_[pi];
+    // One dense load per position; Invalid() marks a data-trivial guard
+    // whose program is empty.
+    const GuardId gid = alphabet_->closure_program_of_symbol(SymbolId(sym));
+    if (!gid.valid()) continue;
+    const compile::GuardOps& ops = tables.closure_ops(gid);
     const int base = num_constants_ + static_cast<int>(n) * k_;
     const int two_k = 2 * k_;
     auto node = [&](int e) { return e < two_k ? base + e : e - two_k; };
-    for (const auto& [a, b] : p.unions) uf_.Union(node(a), node(b));
-    for (const auto& [a, b] : p.diseqs) {
+    for (const auto& [a, b] : ops.unions) uf_.Union(node(a), node(b));
+    for (const auto& [a, b] : ops.diseqs) {
       raw_ineq_.emplace_back(node(a), node(b));
     }
-    for (int e : p.adom) node_in_adom_[node(e)] = true;
+    for (int e : ops.adom) node_in_adom_[node(e)] = true;
   }
-  // The last position contributes only its x̄-part (precomputed per
-  // symbol by the alphabet).
-  const Type& last =
-      alphabet_->x_restricted_guard_of(SymbolId(word_.SymbolAt(window_ - 1)));
-  nodes.clear();
-  for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(window_ - 1, i));
-  for (int c = 0; c < num_constants_; ++c) nodes.push_back(ConstantNode(c));
-  ApplyOneType(last, nodes.data(), scratch);
+  // Last position: the precompiled x̄-restricted program over
+  // (k registers at window_-1, constants).
+  const GuardId last_gid = alphabet_->x_closure_program_of_symbol(
+      SymbolId(word_.SymbolAt(window_ - 1)));
+  if (!last_gid.valid()) return;
+  const compile::GuardOps& last_ops = tables.x_closure_ops(last_gid);
+  const int base = num_constants_ + static_cast<int>(window_ - 1) * k_;
+  auto node = [&](int e) { return e < k_ ? base + e : e - k_; };
+  for (const auto& [a, b] : last_ops.unions) uf_.Union(node(a), node(b));
+  for (const auto& [a, b] : last_ops.diseqs) {
+    raw_ineq_.emplace_back(node(a), node(b));
+  }
+  for (int e : last_ops.adom) node_in_adom_[node(e)] = true;
 }
 
 void ConstraintClosure::SweepConstraints(size_t from_pos,

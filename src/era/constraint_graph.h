@@ -70,20 +70,6 @@ class ClosureScratch {
   std::vector<char> accept_;      // per-constraint accepting set, as bytes
   std::vector<int> start_state_of_q_;  // control state -> post-start state
 
-  // A transition type compiled to the node-level operations it induces at
-  // a position: union pairs, disequality pairs, and adom marks, all as
-  // type-element indices. A pumped window reads the same few symbols over
-  // and over, so each symbol is compiled once per ApplyTypes pass and the
-  // per-position work collapses to replaying the (usually tiny) program.
-  struct TypeProgram {
-    std::vector<std::pair<int, int>> unions;
-    std::vector<std::pair<int, int>> diseqs;
-    std::vector<int> adom;
-  };
-  std::vector<int> program_of_symbol_;  // symbol -> index, -1 uncompiled
-  std::vector<TypeProgram> programs_;   // pooled, reused across passes
-  int programs_used_ = 0;
-
   std::vector<int> root_to_class_;
   std::vector<int> type_rep_;
   std::vector<int> element_nodes_;
@@ -205,16 +191,14 @@ class ConstraintClosure {
  private:
   // Applies the transition types of positions [from_pos, window_): full
   // types up to window_ - 2, the x̄-restricted type at the last position.
-  // The linear engine compiles each distinct symbol once and replays it;
-  // the reference engine re-derives every position from the Type objects,
-  // faithful to the original implementation's cost.
+  // The linear engine replays each symbol's closure ops, lowered once by
+  // the alphabet's guard tables; the reference engine re-derives every
+  // position from the Type objects, faithful to the original
+  // implementation's cost.
   void ApplyTypes(size_t from_pos, ClosureScratch& scratch);
   void ReferenceApplyTypes(size_t from_pos, ClosureScratch& scratch);
   void ApplyOneType(const Type& type, const int* element_to_node,
                     ClosureScratch& scratch);
-  // Compiles `type`'s per-position operations into element-index form.
-  void CompileType(const Type& type, ClosureScratch& scratch,
-                   ClosureScratch::TypeProgram& program);
   // Advances every constraint sweep over positions [from_pos, window_).
   void SweepConstraints(size_t from_pos, ClosureScratch& scratch);
   // The original per-start-restart loop (reference engine only).

@@ -75,10 +75,11 @@ Status AddFormulaAsLiterals(TypeBuilder& builder, const Formula& formula,
   return Status::Internal("unreachable");
 }
 
-// Refines every transition of `era` so that each guard decides every
-// proposition: transitions with undetermined propositions are split by
-// the consistent truth assignments. This is the cheap, targeted
-// alternative to full completion (which is exponential in the schema).
+}  // namespace
+
+// Transitions with undetermined propositions are split by the consistent
+// truth assignments: the cheap, targeted alternative to full completion
+// (which is exponential in the schema).
 Result<ExtendedAutomaton> RefineForPropositions(
     const ExtendedAutomaton& era, const std::vector<Formula>& propositions,
     const ExecutionGovernor* governor) {
@@ -154,8 +155,6 @@ Result<ExtendedAutomaton> RefineForPropositions(
   }
   return out;
 }
-
-}  // namespace
 
 Result<VerificationResult> VerifyLtlFo(const ExtendedAutomaton& era,
                                        const LtlFoProperty& property,

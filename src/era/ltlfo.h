@@ -75,6 +75,14 @@ Result<VerificationResult> VerifyLtlFo(const ExtendedAutomaton& era,
                                        const LtlFoProperty& property,
                                        const VerificationOptions& options = {});
 
+// Step 1 of VerifyLtlFo: refines every transition of `era` so that each
+// guard decides every proposition. With analyze_and_strip off, a
+// counterexample of VerifyLtlFo is a control lasso of this automaton's
+// ControlAlphabet. Exposed for tests.
+Result<ExtendedAutomaton> RefineForPropositions(
+    const ExtendedAutomaton& era, const std::vector<Formula>& propositions,
+    const ExecutionGovernor* governor = nullptr);
+
 // Helper for the global variables ∀z̄ of Definition 11: returns an
 // extended automaton with `count` extra registers that every transition
 // propagates unchanged (x_r = y_r), so each run fixes a valuation of z̄.

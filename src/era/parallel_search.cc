@@ -423,8 +423,8 @@ std::string SearchStats::ToString() const {
         << " visited_entries=" << visited_entries
         << " pool_bytes=" << pool_bytes;
   }
-  // Likewise the compiled-guard fields: absent under the interpreted
-  // engine, so existing consumers of the line see no change.
+  // Likewise the compiled-guard fields: absent when the search carried no
+  // guard tables (a bare SearchLassos over an NBA).
   if (guard_evals > 0 || guard_table_bytes > 0) {
     out << " guard_evals=" << guard_evals
         << " guard_batches=" << guard_batches

@@ -84,8 +84,7 @@ struct SearchStats {
   size_t visited_hits = 0;     // candidates answered from the visited set
   size_t visited_entries = 0;  // distinct canonical ω-words interned
   size_t pool_bytes = 0;       // governor-accounted set + pool bytes
-  // Compiled-guard instrumentation (era/guard/* metrics; all zero under
-  // GuardEngine::kInterpreted).
+  // Compiled-guard instrumentation (era/guard/* metrics).
   size_t guard_evals = 0;       // valuations decided through compiled tables
   size_t guard_batches = 0;     // SoA EvalBatch passes
   size_t guard_table_bytes = 0;  // bytes of the alphabet's compiled tables

@@ -30,37 +30,17 @@ std::optional<FiniteRun> SampleEraRun(const ExtendedAutomaton& era,
                                       std::mt19937& rng,
                                       const SimulateOptions& options,
                                       int max_rejections) {
-  // Unless the caller already wired compiled tables in, build a local set
-  // for this call: the per-attempt guard checks dominate the sampler, and
-  // one Build amortizes over attempts × length evaluations.
+  // One lowering for every attempt: the per-attempt guard checks dominate
+  // the sampler, and sampling and validation share the tables.
+  std::optional<ControlAlphabet> local;
   SimulateOptions local_options = options;
-  std::optional<compile::GuardTableSet> local_tables;
-  std::vector<GuardId> local_guard_ids;
-  compile::TransitionGuardView local_view;
-  if (options.guards == nullptr &&
-      compile::ResolveGuardEngine(compile::GuardEngine::kAuto) ==
-          compile::GuardEngine::kCompiled) {
-    const RegisterAutomaton& automaton = era.automaton();
-    std::vector<const Type*> guards;
-    guards.reserve(automaton.num_transitions());
-    for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
-      guards.push_back(&automaton.transition(ti).guard);
-    }
-    local_tables = compile::GuardTableSet::Build(
-        guards, automaton.num_registers(),
-        automaton.schema().num_constants(), &local_guard_ids);
-    local_view = {&*local_tables, local_guard_ids.data()};
-    local_options.guards = &local_view;
-  }
-  const compile::TransitionGuardView validate_view =
-      local_options.guards != nullptr ? *local_options.guards
-                                      : compile::TransitionGuardView{};
+  local_options.guards = SamplerGuards(era.automaton(), options, &local);
   for (int attempt = 0; attempt < max_rejections; ++attempt) {
     std::optional<FiniteRun> run =
         SampleRun(era.automaton(), db, length, rng, local_options);
     if (!run.has_value()) continue;
     if (ValidateEraRunPrefix(era, db, *run, /*require_initial=*/true,
-                             validate_view, local_options.guard_stats)
+                             local_options.guards, options.guard_stats)
             .ok()) {
       return run;
     }
@@ -68,7 +48,7 @@ std::optional<FiniteRun> SampleEraRun(const ExtendedAutomaton& era,
     FiniteRun repaired = *run;
     RepairEqualities(era, repaired);
     if (ValidateEraRunPrefix(era, db, repaired, /*require_initial=*/true,
-                             validate_view, local_options.guard_stats)
+                             local_options.guards, options.guard_stats)
             .ok()) {
       return repaired;
     }

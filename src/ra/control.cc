@@ -2,59 +2,42 @@
 
 namespace rav {
 
-ControlAlphabet::ControlAlphabet(const RegisterAutomaton& automaton,
-                                 compile::GuardEngine engine)
-    : engine_(compile::ResolveGuardEngine(engine)) {
+ControlAlphabet::ControlAlphabet(const RegisterAutomaton& automaton) {
+  std::vector<const Type*> guards;
+  guards.reserve(automaton.num_transitions());
+  for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
+    guards.push_back(&automaton.transition(ti).guard);
+  }
+  tables_ = compile::GuardTableSet::Build(
+      guards, automaton.num_registers(), automaton.schema().num_constants(),
+      &transition_guard_id_);
+  // Guard ids are dedup'd by Type equality, so (state, guard id) pairs
+  // number the symbols exactly as (state, guard) pairs would.
   transition_symbol_.resize(automaton.num_transitions());
   for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
-    const RaTransition& t = automaton.transition(ti);
-    SymbolId symbol = SymbolOf(t.from, t.guard);
+    const StateId from = automaton.transition(ti).from;
+    const GuardId gid = transition_guard_id_[ti];
+    SymbolId symbol = SymbolId::Invalid();
+    for (size_t s = 0; s < symbols_.size(); ++s) {
+      if (symbols_[s].state == from && symbols_[s].guard == gid) {
+        symbol = SymbolId(static_cast<int>(s));
+        break;
+      }
+    }
     if (!symbol.valid()) {
-      symbol = SymbolId(static_cast<int>(symbols_.size()));
-      symbols_.emplace_back(t.from, t.guard);
+      symbol = SymbolId(size());
+      symbols_.push_back(
+          {from, gid,
+           tables_.closure_ops(gid).empty() ? GuardId::Invalid() : gid,
+           tables_.x_closure_ops(gid).empty() ? GuardId::Invalid() : gid});
     }
     transition_symbol_[ti] = symbol;
-  }
-  const int k = automaton.num_registers();
-  if (engine_ == compile::GuardEngine::kCompiled) {
-    std::vector<const Type*> guards;
-    guards.reserve(automaton.num_transitions());
-    for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
-      guards.push_back(&automaton.transition(ti).guard);
-    }
-    tables_ = compile::GuardTableSet::Build(
-        guards, k, automaton.schema().num_constants(), &transition_guard_id_);
-    symbol_guard_id_.assign(symbols_.size(), GuardId::Invalid());
-    for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
-      symbol_guard_id_[transition_symbol_[ti].value()] =
-          transition_guard_id_[ti];
-    }
-    // The table set already holds every distinct x̄ restriction — reuse it
-    // instead of recomputing RestrictToX per symbol.
-    restricted_.reserve(symbols_.size());
-    symbol_closure_program_.reserve(symbols_.size());
-    symbol_x_closure_program_.reserve(symbols_.size());
-    for (size_t s = 0; s < symbols_.size(); ++s) {
-      const GuardId gid = symbol_guard_id_[s];
-      restricted_.push_back(tables_->x_restricted(gid));
-      symbol_closure_program_.push_back(
-          tables_->closure_ops(gid).empty() ? GuardId::Invalid() : gid);
-      symbol_x_closure_program_.push_back(
-          tables_->x_closure_ops(gid).empty() ? GuardId::Invalid() : gid);
-    }
-  } else {
-    restricted_.reserve(symbols_.size());
-    for (const auto& [state, guard] : symbols_) {
-      restricted_.push_back(RestrictToX(guard, k));
-    }
   }
 }
 
 SymbolId ControlAlphabet::SymbolOf(StateId q, const Type& guard) const {
-  for (size_t s = 0; s < symbols_.size(); ++s) {
-    if (symbols_[s].first == q && symbols_[s].second == guard) {
-      return SymbolId(static_cast<int>(s));
-    }
+  for (SymbolId s : Symbols()) {
+    if (state_of(s) == q && guard_of(s) == guard) return s;
   }
   return SymbolId::Invalid();
 }
@@ -67,46 +50,7 @@ std::string ControlAlphabet::SymbolName(const RegisterAutomaton& automaton,
 
 Nba BuildSControlNba(const RegisterAutomaton& automaton,
                      const ControlAlphabet& alphabet) {
-  const int k = automaton.num_registers();
   const int num_symbols = alphabet.size();
-
-  // Frontier compatibility between consecutive control symbols:
-  // consistency of δ|ȳ with δ'|x̄. For complete automata this coincides
-  // with the paper's condition (iii) (isomorphic restrictions: two
-  // complete equality types are conjoinable iff equal); for incomplete
-  // automata consistency is the sound over-approximation the bounded
-  // searches need.
-  std::vector<std::vector<bool>> compatible(
-      num_symbols, std::vector<bool>(num_symbols, false));
-  if (const compile::GuardTableSet* tables = alphabet.tables()) {
-    // Symbols sharing a guard share a row/column: decide compatibility
-    // once per distinct-guard pair on the precomputed restrictions.
-    const int num_guards = tables->num_guards();
-    std::vector<std::vector<bool>> guard_compatible(
-        num_guards, std::vector<bool>(num_guards, false));
-    for (GuardId g1 : tables->GuardIds()) {
-      const Type& frontier1 = tables->y_restricted_as_x(g1);
-      for (GuardId g2 : tables->GuardIds()) {
-        guard_compatible[g1.value()][g2.value()] =
-            frontier1.Conjoin(tables->x_restricted(g2)).ok();
-      }
-    }
-    for (SymbolId s1 : alphabet.Symbols()) {
-      for (SymbolId s2 : alphabet.Symbols()) {
-        compatible[s1.value()][s2.value()] =
-            guard_compatible[alphabet.guard_id_of_symbol(s1).value()]
-                            [alphabet.guard_id_of_symbol(s2).value()];
-      }
-    }
-  } else {
-    for (SymbolId s1 : alphabet.Symbols()) {
-      Type frontier1 = RestrictToYAsX(alphabet.guard_of(s1), k);
-      for (SymbolId s2 : alphabet.Symbols()) {
-        compatible[s1.value()][s2.value()] =
-            frontier1.Conjoin(RestrictToX(alphabet.guard_of(s2), k)).ok();
-      }
-    }
-  }
 
   // NBA states: (automaton state, previous symbol or -1),
   // id = q * (num_symbols + 1) + (prev + 1).
@@ -119,13 +63,26 @@ Nba BuildSControlNba(const RegisterAutomaton& automaton,
       if (automaton.IsFinal(q)) nba.SetAccepting(id);
     }
   }
+  // A symbol may follow `prev` only if their frontiers are compatible:
+  // δ_prev|ȳ consistent with δ|x̄. For complete automata this coincides
+  // with the paper's condition (iii) (isomorphic restrictions: two
+  // complete equality types are conjoinable iff equal); for incomplete
+  // automata consistency is the sound over-approximation the bounded
+  // searches need. Symbols sharing a guard share the memo's answer, so
+  // each distinct-guard pair is decided once.
+  compile::FrontierCompatibility frontiers(alphabet.tables());
   for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
     const RaTransition& t = automaton.transition(ti);
-    const int symbol = alphabet.SymbolOfTransition(ti).value();
+    const SymbolId symbol = alphabet.SymbolOfTransition(ti);
+    const GuardId guard = alphabet.guard_id_of_symbol(symbol);
     for (int prev = -1; prev < num_symbols; ++prev) {
-      if (prev >= 0 && !compatible[prev][symbol]) continue;
-      nba.AddTransition(t.from.value() * width + (prev + 1), symbol,
-                        t.to.value() * width + (symbol + 1));
+      if (prev >= 0 &&
+          !frontiers.Compatible(alphabet.guard_id_of_symbol(SymbolId(prev)),
+                                guard)) {
+        continue;
+      }
+      nba.AddTransition(t.from.value() * width + (prev + 1), symbol.value(),
+                        t.to.value() * width + (symbol.value() + 1));
     }
   }
   for (StateId q : automaton.InitialStates()) {

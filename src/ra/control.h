@@ -2,7 +2,6 @@
 #define RAV_RA_CONTROL_H_
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,30 +18,27 @@ namespace rav {
 // alphabet.
 //
 // Building the alphabet is also where the guard compilation layer hooks
-// in (docs/compilation.md): with GuardEngine::kCompiled (the kAuto
-// default unless RAV_GUARD_TABLES=off) every distinct guard is lowered
-// once into a compile::GuardTableSet that the closure engine, the run
-// validators, and the simulators all share.
+// in (docs/compilation.md): every distinct guard is lowered once into a
+// compile::GuardTableSet that the closure engine, the run validators, and
+// the simulators all share.
 class ControlAlphabet {
  public:
-  explicit ControlAlphabet(
-      const RegisterAutomaton& automaton,
-      compile::GuardEngine engine = compile::GuardEngine::kAuto);
+  explicit ControlAlphabet(const RegisterAutomaton& automaton);
 
   int size() const { return static_cast<int>(symbols_.size()); }
   // The dense symbol id space, iterable: `for (SymbolId s : a.Symbols())`.
   IdRange<SymbolId> Symbols() const { return IdRange<SymbolId>(size()); }
 
   StateId state_of(SymbolId symbol) const {
-    return symbols_[symbol.value()].first;
+    return symbols_[symbol.value()].state;
   }
   const Type& guard_of(SymbolId symbol) const {
-    return symbols_[symbol.value()].second;
+    return tables_.guard(guard_id_of_symbol(symbol));
   }
   // guard_of(symbol) restricted to its x̄-part, precomputed once — the
   // closure engine applies it at every window's last position.
   const Type& x_restricted_guard_of(SymbolId symbol) const {
-    return restricted_[symbol.value()];
+    return tables_.x_restricted(guard_id_of_symbol(symbol));
   }
 
   // Symbol of (q, guard), or SymbolId::Invalid().
@@ -53,55 +49,44 @@ class ControlAlphabet {
   }
 
   // --- compiled guard tables ---
-  // The engine the alphabet resolved to (never kAuto).
-  compile::GuardEngine guard_engine() const { return engine_; }
-  // The compiled table set, or nullptr under kInterpreted.
-  const compile::GuardTableSet* tables() const {
-    return tables_ ? &*tables_ : nullptr;
-  }
-  // Dense table id of a symbol's guard (compiled engine only).
+  const compile::GuardTableSet& tables() const { return tables_; }
+  // Dense table id of a symbol's guard.
   GuardId guard_id_of_symbol(SymbolId symbol) const {
-    return symbol_guard_id_[symbol.value()];
+    return symbols_[symbol.value()].guard;
   }
   // Table id for the closure engine's per-position replay, or
   // GuardId::Invalid() when the symbol's full-guard / x̄-restricted
   // program is empty — the skip the hot closure loop takes with one dense
-  // load, mirroring the interpreted path's kEmptyProgram marker (compiled
-  // engine only).
+  // load.
   GuardId closure_program_of_symbol(SymbolId symbol) const {
-    return symbol_closure_program_[symbol.value()];
+    return symbols_[symbol.value()].closure_program;
   }
   GuardId x_closure_program_of_symbol(SymbolId symbol) const {
-    return symbol_x_closure_program_[symbol.value()];
+    return symbols_[symbol.value()].x_closure_program;
   }
-  // Borrowed view over the owning automaton's transitions; falsy under
-  // kInterpreted. Valid as long as this alphabet is alive and unmoved.
+  // Borrowed view over the owning automaton's transitions. Valid as long
+  // as this alphabet is alive and unmoved.
   compile::TransitionGuardView transition_guard_view() const {
-    if (!tables_) return {};
-    return {&*tables_, transition_guard_id_.data()};
+    return {&tables_, transition_guard_id_.data()};
   }
-  // Distinct guards / total compiled-table bytes (0 under kInterpreted).
-  int num_distinct_guards() const {
-    return tables_ ? tables_->num_guards() : 0;
-  }
-  size_t guard_table_bytes() const {
-    return tables_ ? tables_->table_bytes() : 0;
-  }
+  int num_distinct_guards() const { return tables_.num_guards(); }
+  size_t guard_table_bytes() const { return tables_.table_bytes(); }
 
   std::string SymbolName(const RegisterAutomaton& automaton,
                          SymbolId symbol) const;
 
  private:
-  std::vector<std::pair<StateId, Type>> symbols_;
-  std::vector<Type> restricted_;
-  std::vector<SymbolId> transition_symbol_;
-  compile::GuardEngine engine_ = compile::GuardEngine::kInterpreted;
-  std::optional<compile::GuardTableSet> tables_;
+  struct Symbol {
+    StateId state;
+    GuardId guard;
+    GuardId closure_program;    // Invalid() if the program is empty
+    GuardId x_closure_program;  // Invalid() if the program is empty
+  };
+
+  compile::GuardTableSet tables_;
   std::vector<GuardId> transition_guard_id_;  // transition -> table id
-  std::vector<GuardId> symbol_guard_id_;      // symbol -> table id
-  // symbol -> closure-program table id, Invalid() if the program is empty
-  std::vector<GuardId> symbol_closure_program_;
-  std::vector<GuardId> symbol_x_closure_program_;
+  std::vector<SymbolId> transition_symbol_;
+  std::vector<Symbol> symbols_;
 };
 
 // Builds the Büchi automaton recognizing SControl(A), the symbolic control

@@ -221,7 +221,8 @@ Result<RunWitness> RealizeWitness(const RegisterAutomaton& automaton,
   }
 
   RAV_RETURN_IF_ERROR(ValidateRunPrefix(automaton, db, run,
-                                        /*require_initial=*/false));
+                                        /*require_initial=*/false,
+                                        alphabet.transition_guard_view()));
   return RunWitness{std::move(db), std::move(run)};
 }
 

@@ -160,7 +160,7 @@ Status ValidateRunPrefix(const RegisterAutomaton& automaton,
   if (guards) {
     // Wiring first: the first wiring error bounds how far guards are
     // checked, so the reported violation matches the interleaved order
-    // of the interpreted loop below.
+    // of the reference loop below.
     size_t limit = len - 1;
     Status wiring_error = Status::OK();
     for (size_t n = 0; n + 1 < len; ++n) {

@@ -54,13 +54,16 @@ struct LassoRun {
 // Checks that `run` is a valid run prefix of `automaton` over `db`:
 // states/transitions wired correctly, first state initial, and every
 // guard satisfied by the adjacent value tuples. Returns OK or a
-// description of the first violation (identical message either engine).
+// description of the first violation (the same message with or without a
+// view).
 //
-// With a truthy `guards` view (from ControlAlphabet::transition_guard_view)
-// the guard checks run through the compiled tables: the run's positions
-// are batched per distinct guard, laid out SoA, and evaluated in one
-// EvalBatch pass per guard instead of one interpreted HoldsIn per
-// position. `guard_stats` (optional) tallies compiled evaluations.
+// Production callers pass their alphabet's `guards` view
+// (ControlAlphabet::transition_guard_view): the run's positions are then
+// batched per distinct guard, laid out SoA, and evaluated in one
+// EvalBatch pass per guard. `guard_stats` (optional) tallies those
+// evaluations. Without a view the guards are checked by the Type::HoldsIn
+// reference walk — the view-less form tests use to re-check compiled
+// answers.
 Status ValidateRunPrefix(const RegisterAutomaton& automaton,
                          const Database& db, const FiniteRun& run,
                          bool require_initial = true,

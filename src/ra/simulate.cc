@@ -7,17 +7,13 @@
 
 namespace rav {
 
-namespace {
-
-ValueTuple JoinXy(const ValueTuple& x, const ValueTuple& y) {
-  ValueTuple xy;
-  xy.reserve(x.size() + y.size());
-  xy.insert(xy.end(), x.begin(), x.end());
-  xy.insert(xy.end(), y.begin(), y.end());
-  return xy;
+compile::TransitionGuardView SamplerGuards(
+    const RegisterAutomaton& automaton, const SimulateOptions& options,
+    std::optional<ControlAlphabet>* local) {
+  if (options.guards) return options.guards;
+  local->emplace(automaton);
+  return (*local)->transition_guard_view();
 }
-
-}  // namespace
 
 std::optional<FiniteRun> SampleRun(const RegisterAutomaton& automaton,
                                    const Database& db, size_t length,
@@ -76,20 +72,19 @@ std::optional<FiniteRun> SampleRun(const RegisterAutomaton& automaton,
     }
   };
 
-  // Guard evaluation: through the compiled tables when the caller passed
-  // some, otherwise the interpreted walk. The x̄·ȳ scratch valuation is
-  // reused across every attempt of the sampling loop.
-  const compile::TransitionGuardView* view =
-      options.guards != nullptr && *options.guards ? options.guards : nullptr;
+  // Guard evaluation through the compiled tables. The x̄·ȳ scratch
+  // valuation is reused across every attempt of the sampling loop.
+  std::optional<ControlAlphabet> local;
+  const compile::TransitionGuardView guards =
+      SamplerGuards(automaton, options, &local);
   ValueTuple xy_scratch;
-  auto guard_holds = [&](int ti, const RaTransition& t, const ValueTuple& cur,
+  auto guard_holds = [&](int ti, const ValueTuple& cur,
                          const ValueTuple& next) {
-    if (view == nullptr) return t.guard.HoldsIn(db, JoinXy(cur, next));
     xy_scratch.clear();
     xy_scratch.insert(xy_scratch.end(), cur.begin(), cur.end());
     xy_scratch.insert(xy_scratch.end(), next.begin(), next.end());
-    return view->tables->Holds(view->guard_id_of_transition[ti],
-                               xy_scratch.data(), db, options.guard_stats);
+    return guards.tables->Holds(guards.guard_id_of_transition[ti],
+                                xy_scratch.data(), db, options.guard_stats);
   };
 
   FiniteRun run;
@@ -120,7 +115,7 @@ std::optional<FiniteRun> SampleRun(const RegisterAutomaton& automaton,
         for (int a = 0; a < options.assignment_attempts; ++a) {
           ValueTuple next;
           sample_successor(t.guard, run.values.back(), next);
-          if (guard_holds(ti, t, run.values.back(), next)) {
+          if (guard_holds(ti, run.values.back(), next)) {
             run.values.push_back(std::move(next));
             run.states.push_back(t.to);
             run.transition_indices.push_back(ti);

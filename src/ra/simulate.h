@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "compile/guard_tables.h"
+#include "ra/control.h"
 #include "ra/register_automaton.h"
 #include "ra/run.h"
 #include "relational/database.h"
@@ -21,14 +22,20 @@ struct SimulateOptions {
   int transition_attempts = 16;
   // How many fresh (never-seen) values the value pool is topped up with.
   int fresh_values = 4;
-  // Compiled guard tables of the automaton being simulated (optional, and
-  // ignored when null or falsy): the per-attempt guard checks then run
-  // through GuardTableSet::Holds instead of Type::HoldsIn. Must outlive
-  // the sampling call. `guard_stats` (optional) tallies the compiled
-  // evaluations.
-  const compile::TransitionGuardView* guards = nullptr;
+  // Compiled guard tables of the automaton being simulated, through which
+  // every guard check runs. Falsy (the default): the sampler lowers the
+  // automaton's guards itself, once per call — callers that sample in a
+  // loop pass their alphabet's view instead. Must outlive the sampling
+  // call. `guard_stats` (optional) tallies the compiled evaluations.
+  compile::TransitionGuardView guards;
   compile::GuardStats* guard_stats = nullptr;
 };
+
+// The guard view a sampler evaluates through: `options.guards` when the
+// caller passed one, else the view of `*local`, which is built here.
+compile::TransitionGuardView SamplerGuards(
+    const RegisterAutomaton& automaton, const SimulateOptions& options,
+    std::optional<ControlAlphabet>* local);
 
 // Randomized generation of run prefixes of `automaton` over `db`: at each
 // step a transition is sampled and successor register values are sampled

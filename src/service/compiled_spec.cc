@@ -15,6 +15,12 @@ std::string SpecContentHash(std::string_view text) {
   // FNV-1a 64: stable across platforms and processes (std::hash is
   // neither), cheap, and collision-safe enough for a content-addressed
   // cache whose values are verified by construction.
+  //
+  // The offset basis is one digit short of standard FNV-1a's
+  // (14695981039346656037). Leave it: every spec_hash a client holds —
+  // and perfbench/workloads.py's copy of this function — was computed
+  // with this value, so "fixing" it would turn each of those requests
+  // into a NotFound cache miss. tests/service_test.cc pins two hashes.
   uint64_t h = 1469598103934665603ULL;
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);

@@ -25,14 +25,14 @@
 
 #include "analysis/lint.h"
 #include "base/status.h"
-#include "compile/guard_tables.h"
 #include "era/extended_automaton.h"
 #include "ra/control.h"
 
 namespace rav::service {
 
-// Stable content hash of a spec text (FNV-1a 64, 16 hex digits). Two
-// byte-identical texts always share a hash; the cache key.
+// Stable content hash of a spec text (FNV-1a 64 with a nonstandard but
+// frozen offset basis, 16 hex digits). Two byte-identical texts always
+// share a hash; the cache key.
 std::string SpecContentHash(std::string_view text);
 
 class CompiledSpec {
@@ -78,12 +78,9 @@ class CompiledSpec {
   }
 
   // --- compiled guard tables (docs/compilation.md) ---
-  // Engine and table stats of the compiled alphabets; `info` reports them
-  // and charges the bytes to the request governor. Both alphabets compile
+  // Table stats of the compiled alphabets; `info` reports them and
+  // charges the bytes to the request governor. Both alphabets compile
   // their own table set, so the byte total sums the two.
-  const char* guard_engine_name() const {
-    return compile::GuardEngineName(analysis_alphabet_.guard_engine());
-  }
   int distinct_guards() const {
     return analysis_alphabet_.num_distinct_guards();
   }

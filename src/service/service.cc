@@ -89,6 +89,21 @@ QueryResponse MakeRejection(Rejection rejection) {
   return response;
 }
 
+QueryResponse MakeParseError(const std::string& line, const Status& status) {
+  std::string id;
+  if (Result<Json> parsed = Json::Parse(line);
+      parsed.ok() && parsed->is_object()) {
+    if (const Json* found = parsed->Find("id");
+        found != nullptr && found->is_string()) {
+      id = found->string_value();
+    }
+  }
+  return MakeRejection({.id = std::move(id),
+                        .error_kind = "parse_error",
+                        .message = status.ToString(),
+                        .exit_equivalent = 1});
+}
+
 // Registers the request's governor for the lifetime of its execution so
 // `cancel` ops and the shutdown path can reach it.
 class Service::InFlightGuard {
@@ -448,8 +463,6 @@ QueryResponse Service::Execute(const QueryRequest& request) {
           "constraints",
           Json::Number(static_cast<uint64_t>(spec->era().constraints().size())));
       response.details.Set("complete", Json::Bool(a.IsComplete()));
-      response.details.Set("guard_engine",
-                           Json::String(spec->guard_engine_name()));
       response.details.Set("distinct_guards",
                            Json::Number(spec->distinct_guards()));
       response.details.Set(

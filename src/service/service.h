@@ -90,6 +90,13 @@ struct Rejection {
 };
 QueryResponse MakeRejection(Rejection rejection);
 
+// The `parse_error` rejection of a request line ParseRequest refused with
+// `status`. Echoes the line's "id" when the line is a JSON object with a
+// string id, so the client can still match the error to its request.
+// Every frontend (rav_serve's stdio and socket loops, rav_cli batch)
+// answers unparseable lines through it.
+QueryResponse MakeParseError(const std::string& line, const Status& status);
+
 class Service {
  public:
   explicit Service(ServiceOptions options = ServiceOptions());

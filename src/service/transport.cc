@@ -390,18 +390,7 @@ void SocketTransport::Impl::ProcessLine(Connection* conn,
   if (line.empty()) return;
   Result<QueryRequest> request = ParseRequest(line);
   if (!request.ok()) {
-    std::string id;
-    if (Result<Json> parsed = Json::Parse(line);
-        parsed.ok() && parsed->is_object()) {
-      if (const Json* found = parsed->Find("id");
-          found != nullptr && found->is_string()) {
-        id = found->string_value();
-      }
-    }
-    QueueResponse(conn, MakeRejection({.id = id,
-                                       .error_kind = "parse_error",
-                                       .message = request.status().ToString(),
-                                       .exit_equivalent = 1}));
+    QueueResponse(conn, MakeParseError(line, request.status()));
     return;
   }
   // Control ops answer inline on the poll thread — a cancel must reach a

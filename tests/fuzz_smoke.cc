@@ -1,17 +1,29 @@
-// Deterministic fuzz smoke for the io/text_format parser — the
-// ctest-wired half of the fuzz frontier (the libFuzzer target
-// tests/fuzz_text_format.cc enforces the same invariants under coverage
-// guidance; it needs Clang, so CI on GCC relies on this runner).
+// Deterministic fuzz smoke for the io/text_format parser and the
+// decision service's wire parsers — the ctest-wired half of the fuzz
+// frontier (the libFuzzer target tests/fuzz_text_format.cc enforces the
+// text-format invariants under coverage guidance; it needs Clang, so CI
+// on GCC relies on this runner).
 //
-// Strategy: start from the committed seed specs in tests/data/, then
-// drive a fixed-seed PRNG through several mutation families — byte
-// flips, truncations, splices of two seeds, token-level insertions of
-// grammar keywords, and pure garbage — for at least 10k inputs
-// (override with RAV_FUZZ_SMOKE_INPUTS). Every input must satisfy:
+// Strategy: start from seed inputs, then drive a fixed-seed PRNG through
+// several mutation families — byte flips, truncations, splices of two
+// seeds, token-level insertions of grammar keywords, and pure garbage —
+// for at least 10k inputs per parser (override with
+// RAV_FUZZ_SMOKE_INPUTS).
+//
+// Spec texts (seeds: the committed specs in tests/data/) must satisfy:
 //
 //   1. ParseExtendedAutomaton never crashes, hangs, or throws;
 //   2. accepted inputs round-trip stably: print → parse → print is a
 //      fixed point (so the text format is a faithful serialization).
+//
+// Request lines (seeds: valid lines of every op; extra family: nesting
+// bombs far past Json::kMaxParseDepth) must satisfy:
+//
+//   1. Json::Parse and service::ParseRequest never crash or hang;
+//   2. an accepted JSON document re-dumps to a fixed point;
+//   3. a line ParseRequest accepts is a JSON object;
+//   4. a rejected line's parse_error response is one line of valid JSON
+//      that echoes the line's string "id", when it has one.
 //
 // See docs/robustness.md for the frontier's scope and how to run the
 // coverage-guided variant.
@@ -19,16 +31,19 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <iterator>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/report.h"
 #include "io/text_format.h"
+#include "service/request.h"
+#include "service/service.h"
 
 namespace rav {
 namespace {
@@ -68,7 +83,7 @@ std::vector<std::string> LoadSeeds() {
 // Grammar tokens spliced into inputs so mutations stay near the
 // interesting part of the input space instead of being rejected by the
 // tokenizer immediately.
-const char* const kTokens[] = {
+const std::vector<std::string> kTokens = {
     "automaton", "registers",  "schema",   "relation", "constant",
     "state",     "initial",    "final",    "transition", "->",
     "constraint", "eq",        "neq",      "{",        "}",
@@ -77,9 +92,19 @@ const char* const kTokens[] = {
     "-1",        "999999999999999999999", "\n",       "#",
 };
 
+// What a FuzzDriver mutates: seed inputs, and the tokens its insertion
+// family splices into them.
+struct Corpus {
+  std::vector<std::string> seeds;
+  std::vector<std::string> tokens;
+};
+
 class FuzzDriver {
  public:
-  FuzzDriver() : seeds_(LoadSeeds()), rng_(42) {}
+  FuzzDriver(Corpus corpus, unsigned rng_seed)
+      : seeds_(std::move(corpus.seeds)),
+        tokens_(std::move(corpus.tokens)),
+        rng_(rng_seed) {}
 
   std::string Next() {
     switch (rng_() % 6) {
@@ -123,9 +148,9 @@ class FuzzDriver {
   std::string InsertTokens(std::string s) {
     const int inserts = 1 + static_cast<int>(rng_() % 4);
     for (int i = 0; i < inserts; ++i) {
-      const char* token = kTokens[rng_() % std::size(kTokens)];
+      const std::string& token = tokens_[rng_() % tokens_.size()];
       const size_t at = s.empty() ? 0 : rng_() % s.size();
-      s.insert(at, std::string(" ") + token + " ");
+      s.insert(at, " " + token + " ");
     }
     return s;
   }
@@ -137,15 +162,96 @@ class FuzzDriver {
   }
 
   std::vector<std::string> seeds_;
+  std::vector<std::string> tokens_;
   std::mt19937 rng_;
 };
 
-TEST(FuzzSmoke, ParseNeverCrashesAndRoundTripsStably) {
+int NumInputs() {
   int num_inputs = 12000;
   if (const char* env = std::getenv("RAV_FUZZ_SMOKE_INPUTS")) {
     num_inputs = std::max(1, std::atoi(env));
   }
-  FuzzDriver driver;
+  return num_inputs;
+}
+
+// Valid request lines of every op, each field shape represented once.
+std::vector<std::string> LoadRequestSeeds() {
+  const Json spec =
+      Json::String("automaton { registers 1 state q initial final }\n");
+  auto line = [](std::vector<std::pair<std::string, Json>> fields) {
+    Json object = Json::Object();
+    for (auto& [key, value] : fields) object.Set(key, std::move(value));
+    return object.Dump();
+  };
+  Json propositions = Json::Array();
+  propositions.Append(Json::String("x1 = y1"));
+  return {
+      line({{"id", Json::String("e1")},
+            {"op", Json::String("empty")},
+            {"spec", spec},
+            {"timeout", Json::String("250ms")},
+            {"memory_limit", Json::String("64k")},
+            {"threads", Json::Number(2)},
+            {"search_mode", Json::String("shared")}}),
+      line({{"id", Json::String("v1")},
+            {"op", Json::String("verify")},
+            {"spec", spec},
+            {"ltl", Json::String("G p0")},
+            {"propositions", propositions}}),
+      line({{"id", Json::String("l1")},
+            {"op", Json::String("lrbound")},
+            {"spec", spec}}),
+      line({{"id", Json::String("n1")},
+            {"op", Json::String("lint")},
+            {"spec", spec}}),
+      line({{"id", Json::String("i1")},
+            {"op", Json::String("info")},
+            {"spec_hash", Json::String("0123456789abcdef")}}),
+      line({{"id", Json::String("c1")},
+            {"op", Json::String("cancel")},
+            {"target", Json::String("e1")}}),
+      line({{"id", Json::String("s1")}, {"op", Json::String("stats")}}),
+  };
+}
+
+// JSON structure and escapes: insertions that keep mutations inside the
+// tokenizer's interesting paths.
+const std::vector<std::string> kJsonTokens = {
+    "{",   "}",      "[",     "]",    ":",      ",",    "\"",   "\\",
+    "\\u00", "\\ud800", "null", "true", "false", "-",    "1e999", "0.5",
+    "\"id\":", "\"op\":", "\"spec\":", "\"threads\":", "\"timeout\":",
+};
+
+// Request lines: the byte-level families over the request seeds, plus
+// nesting bombs — a run of '[' or '{"a":' of up to 2^17 levels, then the
+// rest of a seed — the shape that overflowed the recursive parser's stack
+// before the depth cap.
+class RequestLineDriver {
+ public:
+  RequestLineDriver()
+      : seeds_(LoadRequestSeeds()),
+        base_(Corpus{seeds_, kJsonTokens}, 43),
+        rng_(44) {}
+
+  std::string Next() {
+    if (rng_() % 8 != 0) return base_.Next();
+    const size_t depth = size_t{1} << (rng_() % 18);
+    const std::string open = rng_() % 2 == 0 ? "[" : "{\"a\":";
+    std::string bomb;
+    bomb.reserve(depth * open.size());
+    for (size_t i = 0; i < depth; ++i) bomb += open;
+    return bomb + seeds_[rng_() % seeds_.size()];
+  }
+
+ private:
+  std::vector<std::string> seeds_;
+  FuzzDriver base_;
+  std::mt19937 rng_;
+};
+
+TEST(FuzzSmoke, ParseNeverCrashesAndRoundTripsStably) {
+  const int num_inputs = NumInputs();
+  FuzzDriver driver(Corpus{LoadSeeds(), kTokens}, 42);
   int accepted = 0;
   for (int i = 0; i < num_inputs; ++i) {
     const std::string input = driver.Next();
@@ -168,6 +274,51 @@ TEST(FuzzSmoke, ParseNeverCrashesAndRoundTripsStably) {
   // invariant is no longer being exercised.
   EXPECT_GT(accepted, num_inputs / 20)
       << "almost no generated inputs parsed — fuzz corpus degenerated";
+}
+
+TEST(FuzzSmoke, RequestLinesNeverCrashTheWireParsers) {
+  const int num_inputs = NumInputs();
+  RequestLineDriver driver;
+  int json_accepted = 0;
+  int requests_accepted = 0;
+  for (int i = 0; i < num_inputs; ++i) {
+    const std::string line = driver.Next();
+    Result<Json> parsed = Json::Parse(line);
+    if (parsed.ok()) {
+      ++json_accepted;
+      const std::string dumped = parsed->Dump();
+      Result<Json> again = Json::Parse(dumped);
+      ASSERT_TRUE(again.ok()) << "accepted document failed to reparse\n"
+                              << line;
+      ASSERT_EQ(again->Dump(), dumped)
+          << "dump → parse → dump is not a fixed point for\n" << line;
+    }
+    Result<service::QueryRequest> request = service::ParseRequest(line);
+    if (request.ok()) {
+      ++requests_accepted;
+      ASSERT_TRUE(parsed.ok() && parsed->is_object())
+          << "ParseRequest accepted a non-object line\n" << line;
+      continue;
+    }
+    const std::string response =
+        service::MakeParseError(line, request.status()).ToJsonLine();
+    ASSERT_EQ(response.find('\n'), std::string::npos) << line;
+    Result<Json> answer = Json::Parse(response);
+    ASSERT_TRUE(answer.ok()) << "parse_error response is not JSON\n"
+                             << response;
+    EXPECT_EQ(answer->Find("error_kind")->string_value(), "parse_error");
+    const Json* id = parsed.ok() && parsed->is_object()
+                         ? parsed->Find("id")
+                         : nullptr;
+    const std::string want = id != nullptr && id->is_string()
+                                 ? id->string_value()
+                                 : std::string();
+    EXPECT_EQ(answer->Find("id")->string_value(), want) << line;
+  }
+  // Unmutated seeds pass through the byte-level driver, so both parsers'
+  // accepting paths stay exercised.
+  EXPECT_GT(requests_accepted, num_inputs / 40);
+  EXPECT_GT(json_accepted, requests_accepted);
 }
 
 // The parser's own fault-injection site must not leak into ordinary runs:

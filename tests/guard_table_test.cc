@@ -1,12 +1,14 @@
 // Tests of the guard compilation layer (docs/compilation.md): table
-// layout and lowering invariants of GuardTableSet, and randomized
-// differentials holding the compiled engine to the interpreted reference
-// across the three decision procedures — identical verdicts, witnesses,
-// and stop reasons on every instance.
+// layout and lowering invariants of GuardTableSet checked against the
+// Type algebra and the Type::HoldsIn walk, and randomized differentials
+// across the three decision procedures that re-check every compiled
+// answer with a reference oracle — realized witnesses and counterexamples
+// through the view-less (HoldsIn) run validators, LR-bound covers through
+// reference closures.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "compile/guard_tables.h"
 #include "era/emptiness.h"
 #include "era/ltlfo.h"
+#include "era/run_check.h"
 #include "projection/lr_bounded.h"
 #include "ra/control.h"
 #include "ra/random.h"
@@ -22,7 +25,6 @@
 namespace rav {
 namespace {
 
-using compile::GuardEngine;
 using compile::GuardStats;
 using compile::GuardTableSet;
 
@@ -131,42 +133,6 @@ Database MakeRandomDatabase(const Schema& schema, std::mt19937& rng) {
   return db;
 }
 
-// --- engine selection ---
-
-TEST(GuardEngineTest, NamesRoundTrip) {
-  for (GuardEngine engine : {GuardEngine::kInterpreted, GuardEngine::kCompiled,
-                             GuardEngine::kAuto}) {
-    auto parsed = compile::ParseGuardEngine(compile::GuardEngineName(engine));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, engine);
-  }
-  EXPECT_FALSE(compile::ParseGuardEngine("bogus").has_value());
-}
-
-TEST(GuardEngineTest, ExplicitEnginesPassThroughResolve) {
-  EXPECT_EQ(compile::ResolveGuardEngine(GuardEngine::kInterpreted),
-            GuardEngine::kInterpreted);
-  EXPECT_EQ(compile::ResolveGuardEngine(GuardEngine::kCompiled),
-            GuardEngine::kCompiled);
-}
-
-TEST(GuardEngineTest, AutoHonorsEscapeHatch) {
-  // Default (unset or any other value): compiled.
-  ::unsetenv("RAV_GUARD_TABLES");
-  EXPECT_EQ(compile::ResolveGuardEngine(GuardEngine::kAuto),
-            GuardEngine::kCompiled);
-  for (const char* off : {"off", "0", "interpreted"}) {
-    ::setenv("RAV_GUARD_TABLES", off, 1);
-    EXPECT_EQ(compile::ResolveGuardEngine(GuardEngine::kAuto),
-              GuardEngine::kInterpreted)
-        << "RAV_GUARD_TABLES=" << off;
-  }
-  ::setenv("RAV_GUARD_TABLES", "on", 1);
-  EXPECT_EQ(compile::ResolveGuardEngine(GuardEngine::kAuto),
-            GuardEngine::kCompiled);
-  ::unsetenv("RAV_GUARD_TABLES");
-}
-
 // --- table layout ---
 
 TEST(GuardTableLayoutTest, BuildDedupsByTypeEquality) {
@@ -222,6 +188,20 @@ TEST(GuardTableLayoutTest, RestrictionsMatchTypeAlgebra) {
                 static_cast<size_t>(g.num_elements() - g.num_classes()));
       EXPECT_LE(tables.closure_ops(id).diseqs.size(),
                 g.disequalities().size());
+    }
+    // The frontier memo against its Type-algebra definition — asked
+    // twice, so the memoized answer is checked too.
+    compile::FrontierCompatibility frontiers(tables);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (GuardId g1 : tables.GuardIds()) {
+        for (GuardId g2 : tables.GuardIds()) {
+          EXPECT_EQ(frontiers.Compatible(g1, g2),
+                    RestrictToYAsX(tables.guard(g1), k)
+                        .Conjoin(RestrictToX(tables.guard(g2), k))
+                        .ok())
+              << "guards " << g1.value() << ", " << g2.value();
+        }
+      }
     }
   }
 }
@@ -293,35 +273,66 @@ TEST(GuardTableLayoutTest, EvalBatchMatchesScalarHolds) {
   }
 }
 
-TEST(GuardTableLayoutTest, AlphabetExposesTablesOnlyWhenCompiled) {
+TEST(GuardTableLayoutTest, AlphabetSymbolsIndexOneTableSet) {
   std::mt19937 rng(15);
-  ExtendedAutomaton era = MakeRandomEra(rng, /*relational=*/false);
-  ControlAlphabet interpreted(era.automaton(), GuardEngine::kInterpreted);
-  EXPECT_EQ(interpreted.tables(), nullptr);
-  EXPECT_FALSE(interpreted.transition_guard_view());
-  EXPECT_EQ(interpreted.guard_table_bytes(), 0u);
-
-  ControlAlphabet compiled(era.automaton(), GuardEngine::kCompiled);
-  ASSERT_NE(compiled.tables(), nullptr);
-  EXPECT_TRUE(compiled.transition_guard_view());
-  EXPECT_GT(compiled.guard_table_bytes(), 0u);
-  EXPECT_EQ(compiled.num_distinct_guards(),
-            static_cast<int>(era.automaton().DistinctGuards().size()));
-  // Same symbols, same restrictions — only the evaluation engine differs.
-  ASSERT_EQ(compiled.size(), interpreted.size());
-  for (int s = 0; s < compiled.size(); ++s) {
-    EXPECT_EQ(compiled.x_restricted_guard_of(SymbolId(s)),
-              interpreted.x_restricted_guard_of(SymbolId(s)));
+  for (int iteration = 0; iteration < 10; ++iteration) {
+    ExtendedAutomaton era = MakeRandomEra(rng, /*relational=*/true);
+    const RegisterAutomaton& a = era.automaton();
+    const int k = a.num_registers();
+    ControlAlphabet alphabet(a);
+    const GuardTableSet& tables = alphabet.tables();
+    EXPECT_TRUE(alphabet.transition_guard_view());
+    EXPECT_GT(alphabet.guard_table_bytes(), 0u);
+    EXPECT_EQ(alphabet.num_distinct_guards(),
+              static_cast<int>(a.DistinctGuards().size()));
+    for (int ti = 0; ti < a.num_transitions(); ++ti) {
+      const RaTransition& t = a.transition(ti);
+      const SymbolId s = alphabet.SymbolOfTransition(ti);
+      // Symbols are the distinct (state, guard) pairs, first-use order.
+      EXPECT_EQ(alphabet.SymbolOf(t.from, t.guard), s);
+      EXPECT_EQ(alphabet.state_of(s), t.from);
+      EXPECT_EQ(alphabet.guard_of(s), t.guard);
+      EXPECT_EQ(alphabet.guard_id_of_symbol(s),
+                alphabet.transition_guard_view().guard_id_of_transition[ti]);
+    }
+    for (SymbolId s : alphabet.Symbols()) {
+      const GuardId gid = alphabet.guard_id_of_symbol(s);
+      EXPECT_EQ(alphabet.x_restricted_guard_of(s),
+                RestrictToX(alphabet.guard_of(s), k));
+      EXPECT_EQ(alphabet.closure_program_of_symbol(s).valid(),
+                !tables.closure_ops(gid).empty());
+      EXPECT_EQ(alphabet.x_closure_program_of_symbol(s).valid(),
+                !tables.x_closure_ops(gid).empty());
+    }
   }
 }
 
-// --- randomized differentials: compiled vs interpreted, all three
-// --- decision procedures (>= 220 instances total)
+// --- randomized differentials: every compiled answer of the three
+// --- decision procedures re-checked by a reference oracle (>= 220
+// --- instances total)
+
+// Realizes `word` (a control lasso of `alphabet`) over its pumped window
+// and re-checks the run with the view-less validator, whose guard checks
+// are the Type::HoldsIn walk rather than the tables the search used.
+void ExpectRealizesUnderReference(const ExtendedAutomaton& era,
+                                  const ControlAlphabet& alphabet,
+                                  const LassoWord& word, int instance) {
+  const size_t window =
+      word.prefix.size() + word.cycle.size() * SuggestedPumpCount(era);
+  Result<RunWitness> witness = RealizeEraWitness(era, alphabet, word, window);
+  ASSERT_TRUE(witness.ok()) << "instance " << instance << ": "
+                            << witness.status().ToString();
+  EXPECT_TRUE(ValidateEraRunPrefix(era, witness->db, witness->run,
+                                   /*require_initial=*/true)
+                  .ok())
+      << "instance " << instance;
+}
 
 TEST(GuardTableDiffTest, EmptinessAgreesOnRandomInstances) {
   std::mt19937 rng(20260809);
   int instances = 0;
   int attempts = 0;
+  int nonempty = 0;
   while (instances < 100 && attempts < 500) {
     ++attempts;
     // Every third instance carries a (small, unary-relation) relational
@@ -335,33 +346,37 @@ TEST(GuardTableDiffTest, EmptinessAgreesOnRandomInstances) {
         /*max_transitions=*/256);
     if (!era.has_value()) continue;
     ++instances;
-    ControlAlphabet interpreted(era->automaton(), GuardEngine::kInterpreted);
-    ControlAlphabet compiled(era->automaton(), GuardEngine::kCompiled);
+    ControlAlphabet alphabet(era->automaton());
     EraEmptinessOptions options;
-    options.analyze_and_strip = false;  // isolate the engines under test
+    options.analyze_and_strip = false;  // isolate the engine under test
     options.max_lasso_length = 6;
     options.max_lassos = 300;
     options.max_search_steps = 20000;
     options.num_workers = 1;
-    auto a = CheckEraEmptiness(*era, interpreted, options);
-    auto b = CheckEraEmptiness(*era, compiled, options);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->nonempty, b->nonempty) << "instance " << instances;
-    EXPECT_EQ(a->control_word, b->control_word) << "instance " << instances;
-    EXPECT_EQ(a->stats.stop_reason, b->stats.stop_reason)
-        << "instance " << instances;
-    if (b->stats.lassos_checked > 0) {
-      EXPECT_GT(b->stats.guard_table_bytes, 0u);
+    auto result = CheckEraEmptiness(*era, alphabet, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (result->stats.lassos_checked > 0) {
+      EXPECT_GT(result->stats.guard_table_bytes, 0u);
     }
+    if (!result->nonempty) continue;
+    ++nonempty;
+    EXPECT_TRUE(ReferenceConstraintClosure(
+                    *era, alphabet, result->control_word,
+                    result->control_word.prefix.size() +
+                        result->control_word.cycle.size() *
+                            SuggestedPumpCount(*era))
+                    .consistent())
+        << "instance " << instances;
+    ExpectRealizesUnderReference(*era, alphabet, result->control_word,
+                                 instances);
   }
   EXPECT_EQ(instances, 100);
+  EXPECT_GT(nonempty, 0);
 }
 
 TEST(GuardTableDiffTest, LtlFoAgreesOnRandomInstances) {
-  // VerifyLtlFo builds its alphabets internally, so the engines are
-  // toggled the way operators do it: through the escape hatch.
   std::mt19937 rng(20260810);
+  int fails = 0;
   for (int iteration = 0; iteration < 60; ++iteration) {
     ExtendedAutomaton era = MakeRandomEra(rng, /*relational=*/false);
     const int k = era.automaton().num_registers();
@@ -388,40 +403,84 @@ TEST(GuardTableDiffTest, LtlFoAgreesOnRandomInstances) {
     options.emptiness.max_lassos = 300;
     options.emptiness.max_search_steps = 20000;
     options.emptiness.num_workers = 1;
-    ::setenv("RAV_GUARD_TABLES", "off", 1);
-    auto a = VerifyLtlFo(era, prop, options);
-    ::unsetenv("RAV_GUARD_TABLES");
-    auto b = VerifyLtlFo(era, prop, options);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->holds, b->holds) << "iteration " << iteration;
-    EXPECT_EQ(a->counterexample, b->counterexample)
+    auto result = VerifyLtlFo(era, prop, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->holds, !result->counterexample.has_value())
         << "iteration " << iteration;
-    EXPECT_EQ(a->search_stats.stop_reason, b->search_stats.stop_reason)
-        << "iteration " << iteration;
+    if (!result->counterexample.has_value()) continue;
+    ++fails;
+    // The counterexample is a control lasso of the refined automaton the
+    // verifier searched.
+    Result<ExtendedAutomaton> refined =
+        RefineForPropositions(era, prop.propositions);
+    ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+    ControlAlphabet alphabet(refined->automaton());
+    ExpectRealizesUnderReference(*refined, alphabet, *result->counterexample,
+                                 iteration);
   }
+  EXPECT_GT(fails, 0);
+}
+
+// EstimateLrBound's aggregate recomputed over the same sampled lassos with
+// reference closures: each window re-walks the Type objects per position
+// (no table replay) and the large window is rebuilt instead of extended.
+struct ReferenceLrBound {
+  int max_cover = 0;
+  bool growth_detected = false;
+  SearchStopReason stop_reason = SearchStopReason::kExhausted;
+};
+
+ReferenceLrBound ReferenceEstimateLrBound(const ExtendedAutomaton& era,
+                                          const ControlAlphabet& alphabet,
+                                          const LrBoundOptions& options) {
+  const size_t pump_small =
+      2 * static_cast<size_t>(era.MaxConstraintDfaStates()) + 2;
+  const size_t pump_large = 2 * pump_small;
+  ReferenceLrBound out;
+  LassoSearchOptions search_options;
+  search_options.max_lasso_length = options.max_lasso_length;
+  search_options.max_lassos = options.max_lassos;
+  search_options.max_search_steps = options.max_search_steps;
+  search_options.num_workers = 1;
+  LassoSearchOutcome outcome = SearchLassos(
+      BuildSControlNba(era.automaton(), alphabet), search_options,
+      [&](const LassoCandidate& candidate, LassoWorkerCounters&) {
+        const LassoWord& w = candidate.word;
+        const int cover_small =
+            MaxCutVertexCoverOfClosure(ReferenceConstraintClosure(
+                era, alphabet, w, w.prefix.size() + w.cycle.size() * pump_small));
+        if (cover_small < 0) return LassoVerdict::kInconsistent;
+        const int cover_large =
+            MaxCutVertexCoverOfClosure(ReferenceConstraintClosure(
+                era, alphabet, w, w.prefix.size() + w.cycle.size() * pump_large));
+        out.max_cover = std::max(out.max_cover, cover_small);
+        if (cover_large > cover_small) out.growth_detected = true;
+        return LassoVerdict::kReject;
+      });
+  out.stop_reason = outcome.stats.stop_reason;
+  return out;
 }
 
 TEST(GuardTableDiffTest, LrBoundAgreesOnRandomInstances) {
   std::mt19937 rng(20260811);
   for (int iteration = 0; iteration < 60; ++iteration) {
     ExtendedAutomaton era = MakeRandomEra(rng, /*relational=*/false);
-    ControlAlphabet interpreted(era.automaton(), GuardEngine::kInterpreted);
-    ControlAlphabet compiled(era.automaton(), GuardEngine::kCompiled);
+    ControlAlphabet alphabet(era.automaton());
     LrBoundOptions options;
     options.analyze_and_strip = false;
     options.max_lasso_length = 5;
     options.max_lassos = 200;
     options.max_search_steps = 20000;
     options.num_workers = 1;
-    auto a = EstimateLrBound(era, interpreted, options);
-    auto b = EstimateLrBound(era, compiled, options);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->max_cover, b->max_cover) << "iteration " << iteration;
-    EXPECT_EQ(a->growth_detected, b->growth_detected)
+    auto result = EstimateLrBound(era, alphabet, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ReferenceLrBound reference =
+        ReferenceEstimateLrBound(era, alphabet, options);
+    EXPECT_EQ(result->max_cover, reference.max_cover)
         << "iteration " << iteration;
-    EXPECT_EQ(a->stats.stop_reason, b->stats.stop_reason)
+    EXPECT_EQ(result->growth_detected, reference.growth_detected)
+        << "iteration " << iteration;
+    EXPECT_EQ(result->stats.stop_reason, reference.stop_reason)
         << "iteration " << iteration;
   }
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -608,19 +607,6 @@ TEST(StripTest, FlowTierStripsFlowDeadStructure) {
   const RegisterAutomaton& a = flow.era->automaton();
   EXPECT_EQ(a.num_states(), 2);
   EXPECT_EQ(a.num_transitions(), 3);  // a->a, a->b, b->a
-}
-
-TEST(StripTest, StripFlowEnvironmentSwitchDisablesFlowTier) {
-  ExtendedAutomaton era = Parse(kFlowDead);
-  ASSERT_EQ(setenv("RAV_STRIP_FLOW", "off", /*overwrite=*/1), 0);
-  StripResult off = AnalyzeAndStrip(era, analysis::StripEffort::kFlow);
-  ASSERT_EQ(unsetenv("RAV_STRIP_FLOW"), 0);
-  // With the flow passes disabled the kFlow tier degrades to kFast: no
-  // findings beyond the (clean) local tiers, nothing stripped.
-  EXPECT_FALSE(off.changed());
-  EXPECT_EQ(CountCode(off.diagnostics, "RAV012"), 0) << Render(off.diagnostics);
-  StripResult on = AnalyzeAndStrip(era, analysis::StripEffort::kFlow);
-  EXPECT_TRUE(on.changed());
 }
 
 // Seeds the self-justifying unfireable pattern of kFlowDead into a

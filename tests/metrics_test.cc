@@ -227,6 +227,29 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
 }
 
+TEST(JsonTest, NestingDeeperThanTheCapIsAParseError) {
+  // `depth` arrays (or single-key objects) around a number.
+  auto nested = [](int depth, bool objects) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += objects ? "{\"a\":" : "[";
+    text += "0";
+    text += std::string(depth, objects ? '}' : ']');
+    return text;
+  };
+  const int cap = Json::kMaxParseDepth;
+  EXPECT_TRUE(Json::Parse(nested(cap, /*objects=*/false)).ok());
+  EXPECT_TRUE(Json::Parse(nested(cap, /*objects=*/true)).ok());
+  Result<Json> too_deep = Json::Parse(nested(cap + 1, /*objects=*/false));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.status().message().find("nesting deeper than 256"),
+            std::string::npos)
+      << too_deep.status().ToString();
+  EXPECT_FALSE(Json::Parse(nested(cap + 1, /*objects=*/true)).ok());
+  // The crash input: far past the cap, unterminated. Rejected after the
+  // cap's worth of recursion, not after 200k frames.
+  EXPECT_FALSE(Json::Parse(std::string(200000, '[')).ok());
+}
+
 // Golden schema: the exact top-level rendering of an empty report. Keys
 // and their order are the public contract of `--report` (consumed by
 // report_merge and tools/run_ci.sh); a change here is a schema change and

@@ -78,6 +78,16 @@ TEST(SpecContentHashTest, StableAndContentSensitive) {
   EXPECT_EQ(h1.find_first_not_of("0123456789abcdef"), std::string::npos);
 }
 
+TEST(SpecContentHashTest, GoldenValuesPinTheOffsetBasis) {
+  // The basis (1469598103934665603) is not standard FNV-1a's, and clients
+  // cache hashes computed with it: a changed value would make every
+  // spec_hash request a cache miss. The empty text hashes to the basis.
+  EXPECT_EQ(SpecContentHash(""), "14650fb0739d0383");
+  EXPECT_EQ(
+      SpecContentHash("automaton { registers 1 state q initial final }\n"),
+      "3e2cace4726e35fc");
+}
+
 // --- CompiledSpec ---
 
 TEST(CompiledSpecTest, CompilesCleanSpecOnce) {

@@ -476,6 +476,23 @@ TEST(SocketTransportTest, ParseErrorRecoversTheRequestId) {
   EXPECT_EQ(Field(rejected, "exit_equivalent").number_value(), 1);
 }
 
+TEST(SocketTransportTest, DeeplyNestedLineIsAParseErrorNotACrash) {
+  // Regression: Json::Parse recursed once per '[' with no depth limit, so
+  // this line — well under the default --max-line — overflowed the stack
+  // and took the whole server (every other connection too) down.
+  TransportFixture server{TransportOptions{}};
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.Send(std::string(200000, '['));
+  Json rejected = client.ReadJson();
+  EXPECT_FALSE(Field(rejected, "ok").bool_value());
+  EXPECT_EQ(Field(rejected, "error_kind").string_value(), "parse_error");
+  client.Send(EmptyRequest("after", kPingPong));
+  Json after = client.ReadJson();
+  EXPECT_EQ(Field(after, "id").string_value(), "after");
+  EXPECT_TRUE(Field(after, "ok").bool_value());
+}
+
 TEST(SocketTransportTest, MidRequestDisconnectCancelsItsInFlightWork) {
   TransportOptions options;
   options.threads = 1;

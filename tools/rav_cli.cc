@@ -257,8 +257,8 @@ int CmdLint(const std::vector<std::string>& files, LintOutput output,
 int CmdInfo(const ExtendedAutomaton& era) {
   const RegisterAutomaton& a = era.automaton();
   // Build the control alphabet the decision procedures would run with, so
-  // the compiled-guard stats reflect the engine actually selected (and the
-  // table bytes are governor-charged like every other artifact).
+  // the compiled-guard stats are the ones a query pays for (and the table
+  // bytes are governor-charged like every other artifact).
   ControlAlphabet alphabet(a);
   ScopedMemoryCharge table_charge(&g_governor, alphabet.guard_table_bytes());
   std::printf("registers:       %d\n", a.num_registers());
@@ -268,8 +268,6 @@ int CmdInfo(const ExtendedAutomaton& era) {
   std::printf("constraints:     %zu\n", era.constraints().size());
   std::printf("complete:        %s\n", a.IsComplete() ? "yes" : "no");
   std::printf("state-driven:    %s\n", a.IsStateDriven() ? "yes" : "no");
-  std::printf("guard engine:    %s\n",
-              compile::GuardEngineName(alphabet.guard_engine()));
   std::printf("distinct guards: %d\n", alphabet.num_distinct_guards());
   std::printf("guard tables:    %zu bytes\n", alphabet.guard_table_bytes());
   return 0;
@@ -455,10 +453,7 @@ int CmdBatch(const std::string& path, int threads, size_t cache_capacity,
       if (g_governor.Check() == GovernorTrip::kCancelled) return;
       auto request = service::ParseRequest(lines[i]);
       if (!request.ok()) {
-        emit(service::MakeRejection(
-            {.error_kind = "parse_error",
-             .message = request.status().ToString(),
-             .exit_equivalent = kExitError}));
+        emit(service::MakeParseError(lines[i], request.status()));
         continue;
       }
       emit(service.Handle(*request));

@@ -84,15 +84,6 @@ void EmitResponse(const service::QueryResponse& response) {
   std::fflush(stdout);  // each line is a complete message; don't batch
 }
 
-// Best-effort id recovery from an unparseable request line, so the
-// client can still match the error to its request.
-std::string RecoverId(const std::string& line) {
-  Result<Json> parsed = Json::Parse(line);
-  if (!parsed.ok() || !parsed->is_object()) return "";
-  const Json* id = parsed->Find("id");
-  return (id != nullptr && id->is_string()) ? id->string_value() : "";
-}
-
 struct RequestQueue {
   std::mutex mu;
   std::condition_variable ready;
@@ -195,11 +186,7 @@ int ServeStdio(service::Service& service, int threads,
     if (line.empty()) continue;
     Result<service::QueryRequest> request = service::ParseRequest(line);
     if (!request.ok()) {
-      EmitResponse(
-          service::MakeRejection({.id = RecoverId(line),
-                                  .error_kind = "parse_error",
-                                  .message = request.status().ToString(),
-                                  .exit_equivalent = kExitError}));
+      EmitResponse(service::MakeParseError(line, request.status()));
       continue;
     }
     // Control ops answer inline so they cannot starve behind busy
