@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/numbers.h"
 #include "bench_common.h"
 
 #include <random>
@@ -23,7 +24,7 @@ RegisterAutomaton MakeKeepsHeavyWorkflow(int attributes) {
   schema.AddRelation("Ok", 1);
   WorkflowBuilder wf(schema);
   for (int i = 0; i < attributes; ++i) {
-    wf.AddAttribute("a" + std::to_string(i));
+    wf.AddAttribute(NumberedName("a", i));
   }
   wf.AddStage("s", /*initial=*/true, /*accepting=*/true);
   auto guard = wf.NewGuard();

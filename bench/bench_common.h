@@ -6,6 +6,7 @@
 // experiment E1..E14; sizes are chosen so the whole suite completes in a
 // few minutes.
 
+#include "base/numbers.h"
 #include "era/extended_automaton.h"
 #include "ra/register_automaton.h"
 #include "ra/transform.h"
@@ -48,7 +49,7 @@ inline RegisterAutomaton MakeExample1() {
 inline RegisterAutomaton MakeShiftRing(int k, int num_states) {
   RegisterAutomaton a(k, Schema());
   for (int s = 0; s < num_states; ++s) {
-    a.AddState("s" + std::to_string(s));
+    a.AddState(NumberedName("s", s));
   }
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));

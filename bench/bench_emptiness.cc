@@ -5,7 +5,7 @@
 // witnesses identical to the serial search.
 // Counters: nonempty, lassos_tried, stop_reason (SearchStopReason enum
 // value: 0 witness-found, 1 exhausted, 2 length-bound, 3 lasso-budget,
-// 4 step-budget), closures, workers.
+// 4 step-budget, 8 visit-bound), closures, workers.
 
 #include <benchmark/benchmark.h>
 

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "analysis/lint.h"
+#include "base/numbers.h"
 #include "bench_common.h"
 #include "era/emptiness.h"
 #include "types/completion.h"
@@ -148,7 +149,7 @@ ExtendedAutomaton CleanRingEra(int n) {
   Schema schema;
   schema.AddConstant("c");
   RegisterAutomaton a(1, schema);
-  for (int s = 0; s < n; ++s) a.AddState("r" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(NumberedName("r", s));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int s = 0; s < n; ++s) {

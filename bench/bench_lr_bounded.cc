@@ -5,7 +5,7 @@
 // any register automaton by Theorem 19).
 // Counters: max_cover, growth (1 = unbounded evidence), lassos,
 // stop_reason (SearchStopReason enum value: 1 exhausted, 2 length-bound,
-// 3 lasso-budget, 4 step-budget), workers.
+// 3 lasso-budget, 4 step-budget, 8 visit-bound), workers.
 
 #include <benchmark/benchmark.h>
 

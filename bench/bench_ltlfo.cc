@@ -4,7 +4,7 @@
 // the closure.
 // Counters: closure, ltl_nba_states, product_states, lassos, holds,
 // stop_reason (SearchStopReason enum value: 0 witness-found, 1 exhausted,
-// 2 length-bound, 3 lasso-budget, 4 step-budget).
+// 2 length-bound, 3 lasso-budget, 4 step-budget, 8 visit-bound).
 
 #include <benchmark/benchmark.h>
 

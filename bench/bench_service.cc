@@ -8,7 +8,9 @@
 // (service::ParseRequest + Service::Handle), so the measured gap is
 // what a rav_serve / `rav_cli batch` client actually sees.
 // Counters: dead_units, fresh_ms_per_query, cached_ms_per_query,
-// amortization_ratio, compile_ms.
+// amortization_ratio, compile_ms. BM_ParseDeadStructure times the parse
+// alone (counters: dead_units, states, constraints), the step that
+// compiles one constraint DFA per unit.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,7 @@
 
 #include "base/logging.h"
 #include "bench_common.h"
+#include "io/text_format.h"
 #include "service/compiled_spec.h"
 #include "service/request.h"
 #include "service/service.h"
@@ -171,6 +174,27 @@ void BM_AmortizationRatio(benchmark::State& state) {
   RAV_CHECK(ratio >= 5.0);
 }
 
+// Parse only: ParseExtendedAutomaton over the spec of 2u+2 states, which
+// compiles each of its u+1 constraint regexes to a DFA over all states.
+void BM_ParseDeadStructure(benchmark::State& state) {
+  const int dead = static_cast<int>(state.range(0));
+  const std::string spec = SpecWithDeadStructure(dead);
+  int states = 0;
+  int constraints = 0;
+  for (auto _ : state) {
+    Result<ExtendedAutomaton> era = ParseExtendedAutomaton(spec);
+    RAV_CHECK(era.ok());
+    states = era->automaton().num_states();
+    constraints = static_cast<int>(era->constraints().size());
+    benchmark::DoNotOptimize(era);
+  }
+  state.counters["dead_units"] = dead;
+  state.counters["states"] = states;
+  state.counters["constraints"] = constraints;
+}
+
+BENCHMARK(BM_ParseDeadStructure)->RangeMultiplier(2)->Range(8, 128)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FreshCompilePerQuery)->Arg(0)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedSpecQuery)->Arg(0)->Arg(16)->Arg(64)

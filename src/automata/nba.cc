@@ -167,8 +167,8 @@ const char* LassoEnumStopName(LassoEnumStop stop) {
       return "lasso-budget";
     case LassoEnumStop::kMaxSteps:
       return "step-budget";
-    case LassoEnumStop::kCallbackStopped:
-      return "callback-stopped";
+    case LassoEnumStop::kVisitBound:
+      return "visit-bound";
   }
   return "unknown";
 }
@@ -208,11 +208,17 @@ bool LassoEnumerator::EnterNode(int state) {
     if (!nba_.TransitionsFrom(state).empty()) length_clipped_ = true;
     return false;
   }
-  // Prune: a state needs at most 3 visits on a path to expose every
-  // lasso shape up to the length bound (prefix pass + two cycle passes).
+  // Prune: a path visits each state at most 3 times (prefix pass + two
+  // cycle passes). That keeps the DFS small but is not complete — a lasso
+  // whose prefix and cycle visit a state more often is never delivered —
+  // so a cut that drops outgoing edges makes the enumeration
+  // non-exhaustive.
   int occurrences = 0;
   for (int s : path_states_) occurrences += (s == state);
-  if (occurrences >= 3) return false;
+  if (occurrences >= 3) {
+    if (!nba_.TransitionsFrom(state).empty()) visit_bounded_ = true;
+    return false;
+  }
   path_states_.push_back(state);
   stack_.push_back(Frame{state, 0});
   return true;
@@ -267,38 +273,8 @@ LassoEnumStop LassoEnumerator::stop() const {
   if (steps_capped_) return LassoEnumStop::kMaxSteps;
   if (count_capped_) return LassoEnumStop::kMaxCount;
   if (length_clipped_) return LassoEnumStop::kLengthClipped;
+  if (visit_bounded_) return LassoEnumStop::kVisitBound;
   return LassoEnumStop::kExhausted;
-}
-
-size_t Nba::EnumerateAcceptingLassos(
-    size_t max_length, size_t max_count,
-    const std::function<bool(const LassoWord&)>& callback,
-    size_t max_steps) const {
-  return EnumerateAcceptingLassosEx(max_length, max_count, callback,
-                                    max_steps)
-      .delivered;
-}
-
-Nba::EnumerationStats Nba::EnumerateAcceptingLassosEx(
-    size_t max_length, size_t max_count,
-    const std::function<bool(const LassoWord&)>& callback,
-    size_t max_steps) const {
-  LassoEnumerator enumerator(*this, max_length, max_count, max_steps);
-  EnumerationStats stats;
-  LassoWord word;
-  size_t index = 0;
-  bool callback_stopped = false;
-  while (enumerator.Next(&word, &index)) {
-    if (!callback(word)) {
-      callback_stopped = true;
-      break;
-    }
-  }
-  stats.delivered = enumerator.delivered();
-  stats.steps = enumerator.steps();
-  stats.stop =
-      callback_stopped ? LassoEnumStop::kCallbackStopped : enumerator.stop();
-  return stats;
 }
 
 Nba Nba::Intersect(const Nba& other) const {

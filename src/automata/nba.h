@@ -1,7 +1,6 @@
 #ifndef RAV_AUTOMATA_NBA_H_
 #define RAV_AUTOMATA_NBA_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -19,7 +18,7 @@ enum class LassoEnumStop {
   kLengthClipped = 1,  // some DFS paths were cut at the length bound
   kMaxCount = 2,       // stopped after delivering max_count lassos
   kMaxSteps = 3,       // stopped by the step budget
-  kCallbackStopped = 4,  // the callback requested a stop (witness found)
+  kVisitBound = 4,     // some DFS paths were cut at a state's third visit
 };
 
 // Stable human-readable name ("exhausted", "length-clipped", ...).
@@ -73,33 +72,6 @@ class Nba {
   // The single-word NBA accepting exactly {u·v^ω}.
   static Nba FromLassoWord(int alphabet_size, const LassoWord& word);
 
-  // Enumerates accepting lassos (paths q0 →u f-cycle) of total length
-  // (prefix + cycle) at most `max_length`, delivering at most `max_count`
-  // to `callback` (return false to stop). The enumeration is a bounded
-  // DFS: it finds every accepting lasso word up to the length bound but
-  // may deliver the same ω-word under several decompositions. Returns the
-  // number delivered. Used by the decision procedures that must test
-  // many candidate lassos for data-consistency, not just one.
-  // `max_steps` bounds the total DFS node expansions (the path space is
-  // exponential in max_length; the budget keeps worst cases tractable).
-  size_t EnumerateAcceptingLassos(
-      size_t max_length, size_t max_count,
-      const std::function<bool(const LassoWord&)>& callback,
-      size_t max_steps = 2000000) const;
-
-  // As above, but also reports why the enumeration stopped — callers that
-  // turn "no lasso passed" into a verdict must distinguish an exhausted
-  // space (definitive) from an exhausted budget (bound-relative).
-  struct EnumerationStats {
-    size_t delivered = 0;
-    size_t steps = 0;
-    LassoEnumStop stop = LassoEnumStop::kExhausted;
-  };
-  EnumerationStats EnumerateAcceptingLassosEx(
-      size_t max_length, size_t max_count,
-      const std::function<bool(const LassoWord&)>& callback,
-      size_t max_steps = 2000000) const;
-
  private:
   int alphabet_size_;
   std::vector<std::vector<std::pair<int, int>>> transitions_;
@@ -107,12 +79,19 @@ class Nba {
   std::vector<int> initial_;
 };
 
-// Resumable, pull-style counterpart of Nba::EnumerateAcceptingLassos: the
-// same bounded DFS, paused between lassos so a consumer (in particular the
-// parallel lasso-search engine) can drain candidates in batches. Each
-// delivered lasso carries its 0-based enumeration rank; ranks are the
-// deterministic tie-breaker of the parallel search. The enumerator borrows
-// `nba`, which must outlive it.
+// Enumerates accepting lassos (paths q0 →u f-cycle) of total length
+// (prefix + cycle) at most `max_length`, delivering at most `max_count`.
+// The enumeration is a bounded DFS that visits a state at most 3 times on
+// one path; it may deliver the same ω-word under several decompositions.
+// `max_steps` bounds the total DFS node expansions (the path space is
+// exponential in max_length; the budget keeps worst cases tractable).
+// Callers that turn "no lasso passed" into a verdict must check `stop()`:
+// only an exhausted space is definitive. The DFS is pull-style, paused
+// between lassos, so a consumer (in particular the parallel lasso-search
+// engine) can drain candidates in batches. Each delivered lasso carries
+// its 0-based enumeration rank; ranks are the deterministic tie-breaker of
+// the parallel search. The enumerator borrows `nba`, which must outlive
+// it.
 class LassoEnumerator {
  public:
   LassoEnumerator(const Nba& nba, size_t max_length, size_t max_count,
@@ -157,6 +136,7 @@ class LassoEnumerator {
   bool steps_capped_ = false;
   bool count_capped_ = false;
   bool length_clipped_ = false;
+  bool visit_bounded_ = false;
 };
 
 // Generalized Büchi automaton: acceptance requires visiting each of

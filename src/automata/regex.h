@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "automata/dfa.h"
 #include "automata/nfa.h"
@@ -49,7 +50,12 @@ class Regex {
 
   // Thompson construction.
   Nfa ToNfa(int alphabet_size) const;
-  // Determinized and minimized.
+  // The minimal DFA, state for state the one
+  // ToNfa(alphabet_size).Determinize().Minimize() builds (that composition
+  // is the test oracle). It is determinized and minimized over symbol
+  // classes: one per symbol the regex names, plus one shared by all the
+  // others. So its cost grows with the symbols named, not with the
+  // alphabet, except for the final expansion into dense rows.
   Dfa ToDfa(int alphabet_size) const;
 
   // Renders with `name` supplying symbol names.
@@ -67,8 +73,12 @@ class Regex {
 
   explicit Regex(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
 
-  // Recursive Thompson construction helper; returns (start, accept).
-  std::pair<int, int> Build(const Node& node, Nfa& nfa) const;
+  // Recursive Thompson construction helper over `nfa`'s letters: symbol s
+  // becomes letter `letter_of[s]`, and '.' every letter. Returns (start,
+  // accept).
+  std::pair<int, int> Build(const Node& node,
+                            const std::vector<int>& letter_of,
+                            Nfa& nfa) const;
 
   std::shared_ptr<const Node> node_;
 };

@@ -30,6 +30,11 @@ Result<long long> ParseDurationMs(const std::string& text);
 // overflow when scaled — always with an error naming the valid suffixes.
 Result<long long> ParseByteSize(const std::string& text);
 
+// `prefix` followed by the decimal digits of `n`: NumberedName("x", 3) is
+// "x3". Generated names use it rather than "x" + std::to_string(3), on
+// which GCC 12 at -O3 reports a false -Werror=restrict.
+std::string NumberedName(const char* prefix, long long n);
+
 }  // namespace rav
 
 #endif  // RAV_BASE_NUMBERS_H_

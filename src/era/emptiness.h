@@ -67,11 +67,11 @@ struct EraEmptinessResult {
   LassoWord control_word;  // meaningful iff nonempty
   size_t lassos_tried = 0;
   // True iff the answer is negative AND the search stopped on a budget
-  // (steps, lasso count, length clipping, or a governor trip — deadline,
-  // memory budget, cancellation) rather than after exhausting the bounded
-  // search space — the negative answer is then relative to the bound,
-  // never definitive. Derived from stats.stop_reason; kept as a field for
-  // ergonomic access.
+  // (steps, lasso count, length clipping, a path cut at a state's third
+  // visit, or a governor trip — deadline, memory budget, cancellation)
+  // rather than after exhausting the bounded search space — the negative
+  // answer is then relative to the bound, never definitive. Derived from
+  // stats.stop_reason; kept as a field for ergonomic access.
   bool search_truncated = false;
   // Full instrumentation, including the precise stop reason.
   SearchStats stats;

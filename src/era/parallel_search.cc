@@ -67,8 +67,8 @@ SearchStopReason FromEnumStop(LassoEnumStop stop) {
       return SearchStopReason::kLassoBudget;
     case LassoEnumStop::kMaxSteps:
       return SearchStopReason::kStepBudget;
-    case LassoEnumStop::kCallbackStopped:
-      return SearchStopReason::kWitnessFound;
+    case LassoEnumStop::kVisitBound:
+      return SearchStopReason::kVisitBound;
   }
   return SearchStopReason::kExhausted;
 }
@@ -403,6 +403,8 @@ const char* SearchStopReasonName(SearchStopReason reason) {
       return "memory-budget";
     case SearchStopReason::kCancelled:
       return "cancelled";
+    case SearchStopReason::kVisitBound:
+      return "visit-bound";
   }
   return "unknown";
 }

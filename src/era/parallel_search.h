@@ -58,6 +58,7 @@ enum class SearchStopReason {
   kDeadline = 5,      // the governor's wall-clock deadline passed
   kMemoryBudget = 6,  // the governor's memory budget was exceeded
   kCancelled = 7,     // cooperative cancellation was requested
+  kVisitBound = 8,    // enumeration cut paths at a state's third visit
 };
 
 // The search-level stop reason of a governor trip (kExhausted for
@@ -91,10 +92,11 @@ struct SearchStats {
 
   // True iff a negative verdict is relative to a search bound rather than
   // definitive: the search stopped because a budget ran out — an
-  // enumeration bound or a governor limit (deadline, memory,
-  // cancellation).
+  // enumeration bound (length, lasso count, steps, visits per state) or a
+  // governor limit (deadline, memory, cancellation).
   bool truncated() const {
     return stop_reason == SearchStopReason::kLengthBound ||
+           stop_reason == SearchStopReason::kVisitBound ||
            stop_reason == SearchStopReason::kLassoBudget ||
            stop_reason == SearchStopReason::kStepBudget ||
            stop_reason == SearchStopReason::kDeadline ||

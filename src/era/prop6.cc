@@ -83,7 +83,10 @@ Result<ExtendedAutomaton> EliminateEqualityConstraints(
     }
     std::string name = a.state_name(cs.q);
     for (const Book& book : cs.books) {
-      name += "/" + std::to_string(book.on) + "." + std::to_string(book.dead);
+      name += "/";
+      name += std::to_string(book.on);
+      name += ".";
+      name += std::to_string(book.dead);
     }
     RAV_CHECK_EQ(b.AddState(name).value(), id.value());
     b.SetInitial(id, false);  // initials set below

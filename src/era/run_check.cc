@@ -9,10 +9,14 @@ namespace {
 std::string ViolationMessage(const GlobalConstraint& c, size_t n, size_t m) {
   std::string out = "constraint e";
   out += c.is_equality ? "=" : "≠";
-  out += "[" + std::to_string(c.i.value() + 1) + "," +
-         std::to_string(c.j.value() + 1) +
-         "] violated between positions " + std::to_string(n) + " and " +
-         std::to_string(m);
+  out += "[";
+  out += std::to_string(c.i.value() + 1);
+  out += ",";
+  out += std::to_string(c.j.value() + 1);
+  out += "] violated between positions ";
+  out += std::to_string(n);
+  out += " and ";
+  out += std::to_string(m);
   if (!c.description.empty()) out += " (" + c.description + ")";
   return out;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/failpoints.h"
+#include "base/numbers.h"
 
 namespace rav {
 
@@ -459,8 +460,8 @@ std::string GuardToTextFormat(const Type& guard, const Schema& schema,
                               int k) {
   std::ostringstream out;
   auto term = [&](int element) -> std::string {
-    if (element < k) return "x" + std::to_string(element + 1);
-    if (element < 2 * k) return "y" + std::to_string(element - k + 1);
+    if (element < k) return NumberedName("x", element + 1);
+    if (element < 2 * k) return NumberedName("y", element - k + 1);
     return schema.constant_name(element - 2 * k);
   };
   std::vector<int> rep(guard.num_classes(), -1);

@@ -432,6 +432,25 @@ Result<LtlFormula> LtlFormula::Parse(
 
 std::string LtlFormula::ToString(
     const std::function<std::string(int)>& ap_name) const {
+  // Built by appending: GCC 12 at -O3 reports a false -Werror=restrict
+  // for "(" + std::string.
+  auto prefix = [&](const char* op) {
+    std::string out = op;
+    out += "(";
+    out += node_->left->ToString(ap_name);
+    out += ")";
+    return out;
+  };
+  auto infix = [&](const char* op) {
+    std::string out = "(";
+    out += node_->left->ToString(ap_name);
+    out += " ";
+    out += op;
+    out += " ";
+    out += node_->right->ToString(ap_name);
+    out += ")";
+    return out;
+  };
   switch (node_->op) {
     case Op::kTrue:
       return "true";
@@ -440,28 +459,23 @@ std::string LtlFormula::ToString(
     case Op::kAp:
       return ap_name(node_->ap_index);
     case Op::kNot:
-      return "!(" + node_->left->ToString(ap_name) + ")";
+      return prefix("!");
     case Op::kAnd:
-      return "(" + node_->left->ToString(ap_name) + " & " +
-             node_->right->ToString(ap_name) + ")";
+      return infix("&");
     case Op::kOr:
-      return "(" + node_->left->ToString(ap_name) + " | " +
-             node_->right->ToString(ap_name) + ")";
+      return infix("|");
     case Op::kImplies:
-      return "(" + node_->left->ToString(ap_name) + " -> " +
-             node_->right->ToString(ap_name) + ")";
+      return infix("->");
     case Op::kNext:
-      return "X(" + node_->left->ToString(ap_name) + ")";
+      return prefix("X");
     case Op::kUntil:
-      return "(" + node_->left->ToString(ap_name) + " U " +
-             node_->right->ToString(ap_name) + ")";
+      return infix("U");
     case Op::kRelease:
-      return "(" + node_->left->ToString(ap_name) + " R " +
-             node_->right->ToString(ap_name) + ")";
+      return infix("R");
     case Op::kEventually:
-      return "F(" + node_->left->ToString(ap_name) + ")";
+      return prefix("F");
     case Op::kGlobally:
-      return "G(" + node_->left->ToString(ap_name) + ")";
+      return prefix("G");
   }
   return "?";
 }

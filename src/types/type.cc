@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "base/hash.h"
+#include "base/numbers.h"
 
 namespace rav {
 
@@ -19,10 +20,10 @@ std::string ElementName(int element, int num_vars, int num_constants,
     return schema.constant_name(element - num_vars);
   }
   if (num_registers > 0 && num_vars == 2 * num_registers) {
-    if (element < num_registers) return "x" + std::to_string(element + 1);
-    return "y" + std::to_string(element - num_registers + 1);
+    if (element < num_registers) return NumberedName("x", element + 1);
+    return NumberedName("y", element - num_registers + 1);
   }
-  return "v" + std::to_string(element);
+  return NumberedName("v", element);
 }
 
 }  // namespace

@@ -215,13 +215,16 @@ TEST(NbaTest, FromLassoWordAcceptsExactlyThatWord) {
 
 TEST(NbaTest, EnumerateAcceptingLassosFindsWitnesses) {
   Nba nba = MakeSimpleNba();
+  LassoEnumerator lassos(nba, /*max_length=*/6, /*max_count=*/100,
+                         /*max_steps=*/2000000);
   size_t count = 0;
   bool all_valid = true;
-  nba.EnumerateAcceptingLassos(6, 100, [&](const LassoWord& w) {
+  LassoWord w;
+  size_t rank = 0;
+  while (lassos.Next(&w, &rank)) {
     ++count;
     all_valid = all_valid && nba.AcceptsLasso(w);
-    return true;
-  });
+  }
   EXPECT_GT(count, 0u);
   EXPECT_TRUE(all_valid);
 }

@@ -133,16 +133,20 @@ TEST(LanguageInclusionTest, PruningPreservesSControlBySampling) {
   Nba a = BuildSControlNba(sd, alphabet);
   Nba b = BuildSControlNba(pruned, alphabet2);
   size_t checked = 0;
-  a.EnumerateAcceptingLassos(6, 60, [&](const LassoWord& w) {
+  LassoWord w;
+  size_t rank = 0;
+  LassoEnumerator from_a(a, /*max_length=*/6, /*max_count=*/60,
+                         /*max_steps=*/2000000);
+  while (from_a.Next(&w, &rank)) {
     EXPECT_TRUE(b.AcceptsLasso(w)) << w.ToString();
     ++checked;
-    return true;
-  });
+  }
   EXPECT_GT(checked, 0u);
-  b.EnumerateAcceptingLassos(6, 60, [&](const LassoWord& w) {
+  LassoEnumerator from_b(b, /*max_length=*/6, /*max_count=*/60,
+                         /*max_steps=*/2000000);
+  while (from_b.Next(&w, &rank)) {
     EXPECT_TRUE(a.AcceptsLasso(w)) << w.ToString();
-    return true;
-  });
+  }
 }
 
 }  // namespace

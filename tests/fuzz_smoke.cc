@@ -14,7 +14,10 @@
 //
 //   1. ParseExtendedAutomaton never crashes, hangs, or throws;
 //   2. accepted inputs round-trip stably: print → parse → print is a
-//      fixed point (so the text format is a faithful serialization).
+//      fixed point (so the text format is a faithful serialization);
+//   3. every constraint of an accepted input, re-parsed from its text,
+//      compiles (Regex::ToDfa, over symbol classes) to exactly the DFA
+//      of the oracle ToNfa(n).Determinize().Minimize().
 //
 // Request lines (seeds: valid lines of every op; extra family: nesting
 // bombs far past Json::kMaxParseDepth) must satisfy:
@@ -44,6 +47,7 @@
 #include "io/text_format.h"
 #include "service/request.h"
 #include "service/service.h"
+#include "test_util.h"
 
 namespace rav {
 namespace {
@@ -77,6 +81,24 @@ std::vector<std::string> LoadSeeds() {
       "  constraint neq 1 2 \"q1 q1\"\n"
       "}\n");
   seeds.push_back("automaton { registers 1 state q initial final }\n");
+  // Constraint regexes across the whole regex syntax ('.', _eps, '?', '+',
+  // nested '|'), one naming every state and one naming none, so the
+  // symbol classes of Regex::ToDfa see their edge cases.
+  seeds.push_back(
+      "automaton {\n"
+      "  registers 2\n"
+      "  state p initial final\n"
+      "  state q\n"
+      "  state r\n"
+      "  transition p -> q { x1 = y1 }\n"
+      "  transition q -> q { }\n"
+      "  transition q -> r { x2 = y2 }\n"
+      "  transition r -> p { }\n"
+      "  constraint eq 1 1 \"p (q | (r | _eps))+ p?\"\n"
+      "  constraint neq 1 2 \". .* r\"\n"
+      "  constraint eq 2 2 \"(p | q | r) r? (p | (q | r))+\"\n"
+      "  constraint neq 2 1 \". . .?\"\n"
+      "}\n");
   return seeds;
 }
 
@@ -268,6 +290,7 @@ TEST(FuzzSmoke, ParseNeverCrashesAndRoundTripsStably) {
     ASSERT_EQ(ToTextFormat(*again), printed)
         << "print → parse → print is not a fixed point for\n"
         << input;
+    ASSERT_TRUE(testing::ConstraintDfasMatchOracle(*era)) << input;
   }
   // The seed pass-through arm guarantees a healthy accepted fraction; if
   // this drops to ~0 the mutator (or the parser) broke and the round-trip

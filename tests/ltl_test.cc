@@ -3,6 +3,7 @@
 #include <random>
 #include <string>
 
+#include "base/numbers.h"
 #include "ltl/ltl.h"
 #include "ltl/tableau.h"
 
@@ -157,7 +158,7 @@ TEST_P(TableauAgreementTest, NbaAgreesWithOracle) {
         [&](size_t i) { return static_cast<uint64_t>(lasso.SymbolAt(i)); },
         lasso.prefix.size(), lasso.cycle.size());
     EXPECT_EQ(by_nba, by_oracle)
-        << "formula: " << f.ToString([](int p) { return "p" + std::to_string(p); })
+        << "formula: " << f.ToString([](int p) { return NumberedName("p", p); })
         << " lasso: " << lasso.ToString();
   }
 }

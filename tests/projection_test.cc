@@ -65,7 +65,11 @@ TEST(Lemma21Test, AgreesWithClosureOnSampledTraces) {
   ControlAlphabet alpha(plain.automaton());
   Nba scontrol = BuildSControlNba(plain.automaton(), alpha);
   size_t lassos = 0;
-  scontrol.EnumerateAcceptingLassos(6, 12, [&](const LassoWord& lasso) {
+  LassoEnumerator enumerator(scontrol, /*max_length=*/6, /*max_count=*/12,
+                             /*max_steps=*/2000000);
+  LassoWord lasso;
+  size_t rank = 0;
+  while (enumerator.Next(&lasso, &rank)) {
     ++lassos;
     const size_t window = lasso.prefix.size() + lasso.cycle.size() * 3;
     ConstraintClosure closure(plain, alpha, lasso, window);
@@ -89,8 +93,7 @@ TEST(Lemma21Test, AgreesWithClosureOnSampledTraces) {
         }
       }
     }
-    return true;
-  });
+  }
   EXPECT_GT(lassos, 0u);
 }
 

@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "automata/regex.h"
+#include "io/text_format.h"
 #include "relational/formula.h"
+#include "test_util.h"
 #include "types/type.h"
 
 namespace rav {
@@ -176,7 +184,76 @@ TEST_P(DfaLaws, NfaAndDfaAgreeOnWords) {
   }
 }
 
+// A regex over `alphabet_size` symbols drawn from the whole syntax: symbols,
+// '.', _eps, ∅, concatenation, union, '*', '+' and '?'.
+Regex RandomFullRegex(std::mt19937& rng, int alphabet_size, int depth) {
+  std::uniform_int_distribution<int> sym(0, alphabet_size - 1);
+  std::uniform_int_distribution<int> leaf(0, 19);
+  std::uniform_int_distribution<int> op(0, 6);
+  const int choice = depth == 0 ? 5 : op(rng);  // 5 and 6 make a leaf
+  switch (choice) {
+    case 0:
+      return Regex::Concat(RandomFullRegex(rng, alphabet_size, depth - 1),
+                           RandomFullRegex(rng, alphabet_size, depth - 1));
+    case 1:
+      return Regex::Union(RandomFullRegex(rng, alphabet_size, depth - 1),
+                          RandomFullRegex(rng, alphabet_size, depth - 1));
+    case 2:
+      return Regex::Star(RandomFullRegex(rng, alphabet_size, depth - 1));
+    case 3:
+      return Regex::Plus(RandomFullRegex(rng, alphabet_size, depth - 1));
+    case 4:
+      return Regex::Optional(RandomFullRegex(rng, alphabet_size, depth - 1));
+    default: {
+      const int l = leaf(rng);
+      if (l < 13) return Regex::Symbol(sym(rng));
+      if (l < 17) return Regex::AnySymbol();
+      if (l < 19) return Regex::Epsilon();
+      return Regex::EmptySet();
+    }
+  }
+}
+
+// ToDfa determinizes and minimizes over symbol classes; it must build the
+// very DFA the full-alphabet oracle builds, numbering included. 29 seeds
+// × 350 regexes over alphabets of 1–16 symbols.
+TEST_P(DfaLaws, ToDfaMatchesTheSubsetConstructionOracle) {
+  std::mt19937 rng(GetParam() + 1000);
+  std::uniform_int_distribution<int> depth(1, 4);
+  for (int i = 0; i < 350; ++i) {
+    const int alphabet_size = 1 + i % 16;
+    const Regex regex = RandomFullRegex(rng, alphabet_size, depth(rng));
+    ASSERT_TRUE(testing::ToDfaMatchesOracle(regex, alphabet_size))
+        << "regex " << regex.ToString([](int s) { return std::to_string(s); })
+        << " over " << alphabet_size << " symbols";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DfaLaws, ::testing::Range(1, 30));
+
+// The same law on every constraint of every committed spec.
+TEST(DfaLawsOnSpecs, EveryCommittedConstraintMatchesTheOracle) {
+  std::vector<std::filesystem::path> paths;
+  for (const char* dir : {"tests/data", "examples/data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(RAV_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".rav") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 6u);
+  int constraints = 0;
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    Result<ExtendedAutomaton> era = ParseExtendedAutomaton(text.str());
+    ASSERT_TRUE(era.ok()) << path << ": " << era.status().ToString();
+    EXPECT_TRUE(testing::ConstraintDfasMatchOracle(*era)) << path;
+    constraints += static_cast<int>(era->constraints().size());
+  }
+  EXPECT_GT(constraints, 0);
+}
 
 // --- Frontier laws ---
 

@@ -82,17 +82,19 @@ TEST(QuasiRegularTest, Example8CliqueUnbounded) {
   // constraint kills the former, so search for a closure-consistent
   // lasso: it must then fail the clique-boundedness conjunct.
   bool found_consistent = false;
-  qr->scontrol_nba().EnumerateAcceptingLassos(
-      6, 200, [&](const LassoWord& lasso) {
-        auto verdict = qr->Contains(lasso);
-        EXPECT_TRUE(verdict.in_scontrol);
-        if (!verdict.closure_consistent) return true;
-        found_consistent = true;
-        EXPECT_FALSE(verdict.clique_bounded);
-        EXPECT_FALSE(verdict.member());
-        EXPECT_GT(verdict.clique, 1);
-        return false;
-      });
+  LassoEnumerator lassos(qr->scontrol_nba(), /*max_length=*/6,
+                         /*max_count=*/200, /*max_steps=*/2000000);
+  LassoWord lasso;
+  size_t rank = 0;
+  while (!found_consistent && lassos.Next(&lasso, &rank)) {
+    auto verdict = qr->Contains(lasso);
+    EXPECT_TRUE(verdict.in_scontrol);
+    if (!verdict.closure_consistent) continue;
+    found_consistent = true;
+    EXPECT_FALSE(verdict.clique_bounded);
+    EXPECT_FALSE(verdict.member());
+    EXPECT_GT(verdict.clique, 1);
+  }
   EXPECT_TRUE(found_consistent);
 }
 
@@ -104,14 +106,16 @@ TEST(QuasiRegularTest, NoDatabaseMeansCliqueVacuous) {
   // lassos, the all-inequality refinement is a member (the clique
   // condition is vacuous without relations).
   bool found_member = false;
-  qr->scontrol_nba().EnumerateAcceptingLassos(
-      6, 200, [&](const LassoWord& lasso) {
-        auto verdict = qr->Contains(lasso);
-        if (!verdict.member()) return true;
-        EXPECT_TRUE(verdict.clique_bounded);
-        found_member = true;
-        return false;
-      });
+  LassoEnumerator lassos(qr->scontrol_nba(), /*max_length=*/6,
+                         /*max_count=*/200, /*max_steps=*/2000000);
+  LassoWord lasso;
+  size_t rank = 0;
+  while (!found_member && lassos.Next(&lasso, &rank)) {
+    auto verdict = qr->Contains(lasso);
+    if (!verdict.member()) continue;
+    EXPECT_TRUE(verdict.clique_bounded);
+    found_member = true;
+  }
   EXPECT_TRUE(found_member);
 }
 

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "automata/nba.h"
 #include "base/numbers.h"
 #include "era/emptiness.h"
 #include "era/ltlfo.h"
 #include "era/parallel_search.h"
+#include "io/text_format.h"
 #include "projection/lr_bounded.h"
 #include "ra/transform.h"
 #include "test_util.h"
@@ -34,7 +39,7 @@ ExtendedAutomaton CompletedEra(const ExtendedAutomaton& era) {
 // enough that worker scheduling could plausibly reorder results.
 ExtendedAutomaton MakeShiftRingSearchEra(int k, int n, bool contradictory) {
   RegisterAutomaton a(k, Schema());
-  for (int s = 0; s < n; ++s) a.AddState("s" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(NumberedName("s", s));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int s = 0; s < n; ++s) {
@@ -118,11 +123,11 @@ TEST(SearchTruncation, LengthBoundSetsTruncated) {
   EXPECT_EQ(result->stats.stop_reason, SearchStopReason::kLengthBound);
 }
 
-TEST(SearchTruncation, ExhaustedSpaceIsDefinitive) {
-  // With budgets comfortably above the occurrence-pruned DFS space (the
-  // small incomplete SControl NBA, not the exponentially larger completed
-  // one), the enumeration finishes cleanly and the EMPTY verdict is
-  // definitive.
+TEST(SearchTruncation, VisitBoundSetsTruncated) {
+  // Budgets comfortably above the DFS space: the enumeration finishes
+  // before any length, count or step bound, but only because it cuts each
+  // path at a state's third visit. Lassos whose cycle passes a state more
+  // often are never examined, so the EMPTY verdict is not definitive.
   ExtendedAutomaton era = MakeContradictoryExample5();
   ControlAlphabet alphabet(era.automaton());
   Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
@@ -133,9 +138,48 @@ TEST(SearchTruncation, ExhaustedSpaceIsDefinitive) {
   EraEmptinessResult result =
       SearchConsistentLasso(era, alphabet, scontrol, options);
   EXPECT_FALSE(result.nonempty);
-  EXPECT_FALSE(result.search_truncated);
-  EXPECT_EQ(result.stats.stop_reason, SearchStopReason::kExhausted);
+  EXPECT_TRUE(result.search_truncated);
+  EXPECT_EQ(result.stats.stop_reason, SearchStopReason::kVisitBound);
   EXPECT_GT(result.stats.inconsistent_closures, 0u);
+}
+
+// Searches tests/data/visit_bound.rav with the default bounds. The spec is
+// nonempty, but every consistent lasso passes r five times per cycle,
+// beyond the enumerator's three visits per state. With its last
+// alternative dropped, 4 r's suffice and the search finds a witness.
+EraEmptinessResult SearchVisitBoundSpec(bool drop_last_alternative) {
+  std::ifstream in(std::string(RAV_SOURCE_DIR) + "/tests/data/visit_bound.rav");
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string spec = text.str();
+  if (drop_last_alternative) {
+    const std::string last = " | p r r r r p";
+    const size_t at = spec.find(last);
+    RAV_CHECK(at != std::string::npos);
+    spec.erase(at, last.size());
+  }
+  Result<ExtendedAutomaton> parsed = ParseExtendedAutomaton(spec);
+  RAV_CHECK(parsed.ok());
+  ExtendedAutomaton era = CompletedEra(*parsed);
+  ControlAlphabet alphabet(era.automaton());
+  Result<EraEmptinessResult> result = CheckEraEmptiness(era, alphabet);
+  RAV_CHECK(result.ok());
+  return *result;
+}
+
+TEST(SearchTruncation, VisitBoundReproIsNotDefinitive) {
+  EraEmptinessResult result =
+      SearchVisitBoundSpec(/*drop_last_alternative=*/false);
+  EXPECT_FALSE(result.nonempty);
+  EXPECT_TRUE(result.search_truncated);
+  EXPECT_EQ(result.stats.stop_reason, SearchStopReason::kVisitBound);
+}
+
+TEST(SearchTruncation, VisitBoundReproWithFourAlternativesIsNonempty) {
+  EraEmptinessResult result =
+      SearchVisitBoundSpec(/*drop_last_alternative=*/true);
+  EXPECT_TRUE(result.nonempty);
+  EXPECT_EQ(result.control_word.ToString(), "0 (1 1 1 1 0)^ω");
 }
 
 TEST(SearchTruncation, WitnessFoundIsNotTruncated) {
@@ -178,7 +222,27 @@ TEST(SearchTruncation, LrBoundCarriesStopReason) {
 // ---------------------------------------------------------------------------
 // The resumable enumerator (NBA layer).
 
-TEST(LassoEnumerator, ExhaustsSmallAutomaton) {
+TEST(LassoEnumerator, ExhaustsAcyclicAutomaton) {
+  // No cycle, so no lasso and no path cut: the space is exhausted.
+  Nba nba(1);
+  int q = nba.AddState();
+  int f = nba.AddState();
+  nba.SetInitial(q);
+  nba.SetAccepting(f);
+  nba.AddTransition(q, 0, f);
+  LassoEnumerator enumerator(nba, /*max_length=*/10, /*max_count=*/100,
+                             /*max_steps=*/1000);
+  LassoWord word;
+  size_t index = 0;
+  EXPECT_FALSE(enumerator.Next(&word, &index));
+  EXPECT_EQ(enumerator.stop(), LassoEnumStop::kExhausted);
+  EXPECT_EQ(enumerator.delivered(), 0u);
+}
+
+TEST(LassoEnumerator, ReportsVisitBoundOnSmallAutomaton) {
+  // The self-loop closes lassos of length 1 and 2, then the DFS cuts the
+  // path at q's third visit, far below the length bound: that cut is a
+  // truncation, not an exhausted space.
   Nba nba(1);
   int q = nba.AddState();
   nba.SetInitial(q);
@@ -197,41 +261,8 @@ TEST(LassoEnumerator, ExhaustsSmallAutomaton) {
   }
   EXPECT_GT(count, 0u);
   EXPECT_EQ(last_index, count - 1);
-  EXPECT_EQ(enumerator.stop(), LassoEnumStop::kExhausted);
+  EXPECT_EQ(enumerator.stop(), LassoEnumStop::kVisitBound);
   EXPECT_EQ(enumerator.delivered(), count);
-}
-
-TEST(LassoEnumerator, MatchesCallbackEnumeration) {
-  // The pull-style enumerator must deliver exactly the sequence the
-  // callback API delivers, in the same order, with the same stop reason.
-  Nba nba(2);
-  int a = nba.AddState();
-  int b = nba.AddState();
-  nba.SetInitial(a);
-  nba.SetAccepting(a);
-  nba.AddTransition(a, 0, b);
-  nba.AddTransition(b, 1, a);
-  nba.AddTransition(b, 0, b);
-  std::vector<LassoWord> pushed;
-  Nba::EnumerationStats stats = nba.EnumerateAcceptingLassosEx(
-      8, 1000,
-      [&](const LassoWord& w) {
-        pushed.push_back(w);
-        return true;
-      },
-      100000);
-  LassoEnumerator enumerator(nba, 8, 1000, 100000);
-  std::vector<LassoWord> pulled;
-  LassoWord word;
-  size_t index;
-  while (enumerator.Next(&word, &index)) pulled.push_back(word);
-  ASSERT_EQ(pushed.size(), pulled.size());
-  for (size_t i = 0; i < pushed.size(); ++i) {
-    EXPECT_EQ(pushed[i].prefix, pulled[i].prefix) << "lasso " << i;
-    EXPECT_EQ(pushed[i].cycle, pulled[i].cycle) << "lasso " << i;
-  }
-  EXPECT_EQ(stats.stop, enumerator.stop());
-  EXPECT_EQ(stats.steps, enumerator.steps());
 }
 
 TEST(LassoEnumerator, ReportsStepBudget) {
@@ -399,6 +430,9 @@ TEST(ParallelSearch, StatsToStringMentionsStopReason) {
   EXPECT_FALSE(stats.truncated());
   stats.stop_reason = SearchStopReason::kExhausted;
   EXPECT_FALSE(stats.truncated());
+  stats.stop_reason = SearchStopReason::kVisitBound;
+  EXPECT_NE(stats.ToString().find("stop=visit-bound"), std::string::npos);
+  EXPECT_TRUE(stats.truncated());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 #define RAV_TESTS_TEST_UTIL_H_
 
 #include <initializer_list>
+#include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "automata/dfa.h"
+#include "automata/regex.h"
 #include "era/extended_automaton.h"
 #include "ra/register_automaton.h"
 #include "relational/schema.h"
@@ -85,6 +90,63 @@ inline ExtendedAutomaton MakeAllDistinct() {
                                        /*is_equality=*/false, "q q+");
   RAV_CHECK(s.ok());
   return era;
+}
+
+// Success iff `got` and `want` are the same DFA state for state: same
+// alphabet, state count, initial state, every transition row and
+// accepting set — not merely the same language.
+inline ::testing::AssertionResult SameDfa(const Dfa& got, const Dfa& want) {
+  if (got.alphabet_size() != want.alphabet_size() ||
+      got.num_states() != want.num_states() ||
+      got.initial() != want.initial()) {
+    return ::testing::AssertionFailure()
+           << "shape (alphabet, states, initial): got (" << got.alphabet_size()
+           << ", " << got.num_states() << ", " << got.initial() << "), want ("
+           << want.alphabet_size() << ", " << want.num_states() << ", "
+           << want.initial() << ")";
+  }
+  for (int q = 0; q < got.num_states(); ++q) {
+    if (got.IsAccepting(q) != want.IsAccepting(q)) {
+      return ::testing::AssertionFailure() << "acceptance of state " << q;
+    }
+    for (int s = 0; s < got.alphabet_size(); ++s) {
+      if (got.Next(q, s) != want.Next(q, s)) {
+        return ::testing::AssertionFailure()
+               << "transition (" << q << ", " << s << "): got "
+               << got.Next(q, s) << ", want " << want.Next(q, s);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Regex::ToDfa against its oracle, the minimized subset construction.
+inline ::testing::AssertionResult ToDfaMatchesOracle(const Regex& regex,
+                                                     int alphabet_size) {
+  return SameDfa(regex.ToDfa(alphabet_size),
+                 regex.ToNfa(alphabet_size).Determinize().Minimize());
+}
+
+// Re-parses every constraint of `era` from its description and checks
+// ToDfaMatchesOracle over the automaton's states.
+inline ::testing::AssertionResult ConstraintDfasMatchOracle(
+    const ExtendedAutomaton& era) {
+  const RegisterAutomaton& automaton = era.automaton();
+  auto resolve = [&](const std::string& name) {
+    return automaton.FindState(name).value();
+  };
+  for (const GlobalConstraint& c : era.constraints()) {
+    Result<Regex> regex = Regex::Parse(c.description, resolve);
+    if (!regex.ok()) {
+      return ::testing::AssertionFailure()
+             << "constraint \"" << c.description
+             << "\" does not re-parse: " << regex.status().ToString();
+    }
+    ::testing::AssertionResult same =
+        ToDfaMatchesOracle(*regex, automaton.num_states());
+    if (!same) return same << " in constraint \"" << c.description << "\"";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace rav::testing

@@ -4,7 +4,9 @@
 #   tools/run_ci.sh [output.json]
 #
 # Pipeline (docs/observability.md):
-#   1. configure + build the default preset (build/)
+#   1. configure + build the default preset (build/), then a Release
+#      build (build-release/): reports record their build type, so every
+#      build type they can name must build
 #   2. ctest (the tier-1 suite), then the benchmark's own tests
 #      (perfbench/test_perfbench.py: replay answers and work counts)
 #   3. every bench binary with `--report reports/<bench>.json`
@@ -59,6 +61,12 @@ BENCH_TIMEOUT="${RAV_BENCH_TIMEOUT:-600}"
 echo "== configure + build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
+
+echo "== Release build =="
+# -O3 is where GCC 12 reports false -Werror=restrict positives (see
+# NumberedName in base/numbers.h); the build stays -Werror.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "$JOBS"
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
