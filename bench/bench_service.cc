@@ -10,7 +10,9 @@
 // Counters: dead_units, fresh_ms_per_query, cached_ms_per_query,
 // amortization_ratio, compile_ms. BM_ParseDeadStructure times the parse
 // alone (counters: dead_units, states, constraints), the step that
-// compiles one constraint DFA per unit.
+// compiles one constraint DFA per unit. BM_CachedRingQuery times one
+// cached `empty` query on the k=3, n=8 shift ring (counters: registers,
+// ring_states).
 
 #include <benchmark/benchmark.h>
 
@@ -174,6 +176,23 @@ void BM_AmortizationRatio(benchmark::State& state) {
   RAV_CHECK(ratio >= 5.0);
 }
 
+// The query the per-spec SControl cache serves: `empty` by hash on the
+// k=3, n=8 shift ring, through ParseRequest + Handle against a cached
+// spec. The NBA is built by the warm-up query, not inside the loop.
+void BM_CachedRingQuery(benchmark::State& state) {
+  const std::string spec = ToTextFormat(
+      bench::MakeShiftRingSearchEra(3, 8, /*contradictory=*/false));
+  service::Service service{service::ServiceOptions{}};
+  const std::string line =
+      RequestWithHash(Answer(service, RequestWithText(spec)).spec_hash);
+  for (auto _ : state) {
+    service::QueryResponse response = Answer(service, line);
+    benchmark::DoNotOptimize(response);
+  }
+  state.counters["registers"] = 3;
+  state.counters["ring_states"] = 8;
+}
+
 // Parse only: ParseExtendedAutomaton over the spec of 2u+2 states, which
 // compiles each of its u+1 constraint regexes to a DFA over all states.
 void BM_ParseDeadStructure(benchmark::State& state) {
@@ -201,6 +220,7 @@ BENCHMARK(BM_CachedSpecQuery)->Arg(0)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AmortizationRatio)->Arg(64)->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CachedRingQuery)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rav

@@ -42,8 +42,8 @@ const char* GovernorTripName(GovernorTrip trip);
 // The first trip is sticky: once Check() observes a limit it records the
 // reason, every later Check() returns it, and procedures report it in
 // their SearchStats / Status. Memory accounting tracks *live* accounted
-// bytes (Charge/Release pairs, e.g. from Arena block allocation and the
-// coarse node counters of the non-arena hot structures) plus the peak.
+// bytes (Charge/Release pairs, e.g. from the coarse node counters of the
+// hot structures, see ScopedMemoryCharge) plus the peak.
 class ExecutionGovernor {
  public:
   using Clock = std::chrono::steady_clock;
@@ -146,8 +146,8 @@ inline Status GovernorCheckStatus(const ExecutionGovernor* governor,
 }
 
 // RAII charge of `bytes` of accounted memory against a possibly-null
-// governor — the coarse node counters of the non-arena hot structures
-// (constraint closures, complement rank-state sets, product automata).
+// governor — the coarse node counters of the hot structures (constraint
+// closures, complement rank-state sets, product automata).
 // Charges in the constructor, releases the full accumulated amount in
 // the destructor; Add() grows the charge as the structure grows.
 class ScopedMemoryCharge {

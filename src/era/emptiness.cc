@@ -49,6 +49,12 @@ Status RemapLassoWord(LassoWord& word,
   return remap(word.cycle);
 }
 
+Status RequireComplete(const RegisterAutomaton& automaton) {
+  if (automaton.IsComplete()) return Status::OK();
+  return Status::FailedPrecondition(
+      "CheckEraEmptiness: automaton must be complete (use Completed())");
+}
+
 }  // namespace
 
 Result<RunWitness> RealizeEraWitness(const ExtendedAutomaton& era,
@@ -185,11 +191,7 @@ Result<EraEmptinessResult> CheckEraEmptiness(
     const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
     const EraEmptinessOptions& options) {
   const RegisterAutomaton& automaton = era.automaton();
-  if (!automaton.IsComplete()) {
-    return Status::FailedPrecondition(
-        "CheckEraEmptiness: automaton must be complete (use Completed())");
-  }
-  RAV_TRACE_SPAN("era/emptiness");
+  RAV_RETURN_IF_ERROR(RequireComplete(automaton));
   if (options.analyze_and_strip) {
     const analysis::StripEffort effort =
         era.automaton().num_transitions() >= options.min_flow_strip_transitions
@@ -218,11 +220,19 @@ Result<EraEmptinessResult> CheckEraEmptiness(
     }
   }
   Nba scontrol = [&] {
-    RAV_TRACE_SPAN("scontrol");
+    RAV_TRACE_SPAN("era/scontrol");
     Nba nba = BuildSControlNba(automaton, alphabet);
     RAV_METRIC_RECORD("era/emptiness/scontrol_states", nba.num_states());
     return nba;
   }();
+  return CheckEraEmptiness(era, alphabet, scontrol, options);
+}
+
+Result<EraEmptinessResult> CheckEraEmptiness(
+    const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
+    const Nba& scontrol, const EraEmptinessOptions& options) {
+  RAV_RETURN_IF_ERROR(RequireComplete(era.automaton()));
+  RAV_TRACE_SPAN("era/emptiness");
   return SearchConsistentLasso(era, alphabet, scontrol, options);
 }
 

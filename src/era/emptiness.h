@@ -85,9 +85,20 @@ struct EraEmptinessResult {
 // A positive answer carries a validated witness; a negative answer is
 // exhaustive up to the enumeration bounds (reported in the result).
 // The automaton part must be complete (call Completed() first).
+//
+// Strips `era` when options.analyze_and_strip asks, builds the SControl
+// NBA of what remains, and answers through the overload below.
 Result<EraEmptinessResult> CheckEraEmptiness(
     const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
     const EraEmptinessOptions& options = {});
+
+// The same search over a prebuilt `scontrol` =
+// BuildSControlNba(era.automaton(), alphabet), so a caller answering many
+// queries against one automaton (service::CompiledSpec) builds it once.
+// `era` is searched as given: options.analyze_and_strip is not consulted.
+Result<EraEmptinessResult> CheckEraEmptiness(
+    const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
+    const Nba& scontrol, const EraEmptinessOptions& options);
 
 // The search core shared by emptiness and LTL-FO verification: enumerates
 // accepting lassos of `nba` (an automaton over the control alphabet — the

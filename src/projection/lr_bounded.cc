@@ -47,6 +47,13 @@ class BipartiteMatcher {
   std::vector<bool> visited_;
 };
 
+Status RequireNoDatabase(const ExtendedAutomaton& era) {
+  if (era.automaton().schema().num_relations() == 0) return Status::OK();
+  return Status::InvalidArgument(
+      "EstimateLrBound: LR-boundedness is defined for automata without a "
+      "database (Section 5)");
+}
+
 }  // namespace
 
 int BipartiteMinVertexCover(int n_left, int n_right,
@@ -130,13 +137,7 @@ int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure) {
 Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
                                       const ControlAlphabet& alphabet,
                                       const LrBoundOptions& options) {
-  RAV_TRACE_SPAN("projection/lr_bounded");
-  RAV_METRIC_COUNT("projection/lr_bounded/estimations", 1);
-  if (era.automaton().schema().num_relations() > 0) {
-    return Status::InvalidArgument(
-        "EstimateLrBound: LR-boundedness is defined for automata without a "
-        "database (Section 5)");
-  }
+  RAV_RETURN_IF_ERROR(RequireNoDatabase(era));
   if (options.analyze_and_strip) {
     const analysis::StripEffort effort =
         era.automaton().num_transitions() >= options.min_flow_strip_transitions
@@ -160,7 +161,17 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
       return EstimateLrBound(*stripped.era, stripped_alphabet, inner);
     }
   }
-  Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  return EstimateLrBound(era, alphabet,
+                         BuildSControlNba(era.automaton(), alphabet), options);
+}
+
+Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
+                                      const ControlAlphabet& alphabet,
+                                      const Nba& scontrol,
+                                      const LrBoundOptions& options) {
+  RAV_TRACE_SPAN("projection/lr_bounded");
+  RAV_METRIC_COUNT("projection/lr_bounded/estimations", 1);
+  RAV_RETURN_IF_ERROR(RequireNoDatabase(era));
 
   // Auto-scale the windows so that every constraint's span fits into the
   // smaller one (otherwise truncated edges masquerade as growth).

@@ -77,10 +77,21 @@ struct LrBoundResult {
 
 // Samples control lassos of the automaton (consistent ones only) and
 // measures G^w_h vertex covers. Requires no database (empty relational
-// signature), matching Section 5's setting.
+// signature), matching Section 5's setting. Strips `era` when
+// options.analyze_and_strip asks, builds the SControl NBA of what
+// remains, and samples through the overload below.
 Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
                                       const ControlAlphabet& alphabet,
                                       const LrBoundOptions& options = {});
+
+// The same sampling over a prebuilt `scontrol` =
+// BuildSControlNba(era.automaton(), alphabet), so a caller answering many
+// queries against one automaton (service::CompiledSpec) builds it once.
+// `era` is sampled as given: options.analyze_and_strip is not consulted.
+Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
+                                      const ControlAlphabet& alphabet,
+                                      const Nba& scontrol,
+                                      const LrBoundOptions& options);
 
 // The exact maximum over cuts h of the minimum vertex cover of G^w_h for
 // one lasso at one window size. Exposed for tests and benchmarks.

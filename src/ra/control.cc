@@ -1,5 +1,7 @@
 #include "ra/control.h"
 
+#include <algorithm>
+
 namespace rav {
 
 ControlAlphabet::ControlAlphabet(const RegisterAutomaton& automaton) {
@@ -70,12 +72,26 @@ Nba BuildSControlNba(const RegisterAutomaton& automaton,
   // automata consistency is the sound over-approximation the bounded
   // searches need. Symbols sharing a guard share the memo's answer, so
   // each distinct-guard pair is decided once.
+  //
+  // Edges leave only the states a run can enter: (q, -1), and (q, prev)
+  // where some transition reading prev enters q. No run reaches any other
+  // (q, prev), so its edges could never be taken. Ids and the order of a
+  // reachable state's edges (by transition) do not depend on the filter.
+  std::vector<std::vector<int>> entering(automaton.num_states(), {-1});
+  for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
+    entering[automaton.transition(ti).to.value()].push_back(
+        alphabet.SymbolOfTransition(ti).value());
+  }
+  for (std::vector<int>& prevs : entering) {
+    std::sort(prevs.begin(), prevs.end());
+    prevs.erase(std::unique(prevs.begin(), prevs.end()), prevs.end());
+  }
   compile::FrontierCompatibility frontiers(alphabet.tables());
   for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
     const RaTransition& t = automaton.transition(ti);
     const SymbolId symbol = alphabet.SymbolOfTransition(ti);
     const GuardId guard = alphabet.guard_id_of_symbol(symbol);
-    for (int prev = -1; prev < num_symbols; ++prev) {
+    for (int prev : entering[t.from.value()]) {
       if (prev >= 0 &&
           !frontiers.Compatible(alphabet.guard_id_of_symbol(SymbolId(prev)),
                                 guard)) {
@@ -89,24 +105,6 @@ Nba BuildSControlNba(const RegisterAutomaton& automaton,
     nba.SetInitial(q.value() * width + 0);
   }
   return nba;
-}
-
-Nba BuildStateTraceNba(const RegisterAutomaton& automaton,
-                       const ControlAlphabet& alphabet) {
-  Nba control = BuildSControlNba(automaton, alphabet);
-  Nba out(automaton.num_states());
-  for (int s = 0; s < control.num_states(); ++s) {
-    int id = out.AddState();
-    RAV_CHECK_EQ(id, s);
-    out.SetAccepting(id, control.IsAccepting(s));
-  }
-  for (int s = 0; s < control.num_states(); ++s) {
-    for (const auto& [symbol, to] : control.TransitionsFrom(s)) {
-      out.AddTransition(s, alphabet.state_of(SymbolId(symbol)).value(), to);
-    }
-  }
-  for (int s : control.initial()) out.SetInitial(s);
-  return out;
 }
 
 std::vector<int> ControlWordOfRun(const RegisterAutomaton& automaton,

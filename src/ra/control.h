@@ -95,13 +95,12 @@ class ControlAlphabet {
 // consecutive types agreeing on the shared registers (frontier
 // compatibility). By the result of [19] (re-proved constructively in
 // Theorem 9), for complete automata SControl(A) = Control(A).
+//
+// NBA state (q, prev) — prev the symbol just read, -1 before the first —
+// has id q·(|Σ|+1) + prev + 1. Edges leave only (q, -1) and the pairs
+// some transition enters, so the states no run reaches have none.
 Nba BuildSControlNba(const RegisterAutomaton& automaton,
                      const ControlAlphabet& alphabet);
-
-// The state-trace Büchi automaton: the homomorphic image of SControl(A)
-// under (q, δ) ↦ q. Alphabet = automaton states.
-Nba BuildStateTraceNba(const RegisterAutomaton& automaton,
-                       const ControlAlphabet& alphabet);
 
 // Control word (sequence of control symbols) of a finite run.
 std::vector<int> ControlWordOfRun(const RegisterAutomaton& automaton,

@@ -110,6 +110,20 @@ Result<std::shared_ptr<const CompiledSpec>> CompiledSpec::Compile(
   return std::shared_ptr<const CompiledSpec>(std::move(spec));
 }
 
+const Nba& CompiledSpec::LazySControl::Get(const ExtendedAutomaton& subject,
+                                           const ControlAlphabet& alphabet,
+                                           bool* built) const {
+  bool built_here = false;
+  std::call_once(once_, [&] {
+    RAV_TRACE_SPAN("service/scontrol");
+    nba_.emplace(BuildSControlNba(subject.automaton(), alphabet));
+    RAV_METRIC_COUNT("service/scontrol_builds", 1);
+    built_here = true;
+  });
+  if (built != nullptr) *built = built_here;
+  return *nba_;
+}
+
 // ---------------------------------------------------------------------------
 // SpecCache
 
@@ -156,6 +170,7 @@ std::shared_ptr<const CompiledSpec> SpecCache::FindByHash(
   if (it == entries_.end()) return nullptr;
   it->second.last_used = ++tick_;
   ++hits_;
+  RAV_METRIC_COUNT("service/cache_hits", 1);
   return it->second.spec;
 }
 

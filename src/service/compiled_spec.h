@@ -7,10 +7,11 @@
 // emptiness / LTL-FO / LR-boundedness queries against the same spec
 // without recompiling (docs/serving.md). A CompiledSpec is keyed by the
 // content hash of its spec text and shared across request threads via
-// shared_ptr<const CompiledSpec>; nothing in it mutates after Compile
-// returns, which is what makes the sharing safe — the decision
-// procedures take the artifacts by const reference, exactly as the
-// parallel search workers already do.
+// shared_ptr<const CompiledSpec>. The decision procedures take the
+// artifacts by const reference, exactly as the parallel search workers
+// already do. The one thing built after Compile returns is each
+// subject's SControl NBA: on the first query that needs it, exactly once
+// (std::call_once), and read-only from then on.
 //
 // This is the explicit spec → compiled-artifact boundary the ROADMAP's
 // compiled guard tables and theory plugins will attach to.
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -77,6 +79,19 @@ class CompiledSpec {
     return emptiness_alphabet_;
   }
 
+  // --- SControl NBAs (paper §2), one per query subject ---
+  // BuildSControlNba of the subject, built by the first caller and shared
+  // by every later one; `built`, when non-null, reports whether this call
+  // was the one that built it. Thread-safe.
+  const Nba& emptiness_scontrol(bool* built = nullptr) const {
+    return emptiness_scontrol_.Get(emptiness_subject_, emptiness_alphabet_,
+                                   built);
+  }
+  const Nba& analysis_scontrol(bool* built = nullptr) const {
+    return analysis_scontrol_.Get(analysis_subject_, analysis_alphabet_,
+                                  built);
+  }
+
   // --- compiled guard tables (docs/compilation.md) ---
   // Table stats of the compiled alphabets; `info` reports them and
   // charges the bytes to the request governor. Both alphabets compile
@@ -96,6 +111,17 @@ class CompiledSpec {
   int constraints_stripped() const { return constraints_stripped_; }
 
  private:
+  // An SControl NBA built on first use.
+  class LazySControl {
+   public:
+    const Nba& Get(const ExtendedAutomaton& subject,
+                   const ControlAlphabet& alphabet, bool* built) const;
+
+   private:
+    mutable std::once_flag once_;
+    mutable std::optional<Nba> nba_;
+  };
+
   CompiledSpec(std::string text, std::string hash, ExtendedAutomaton era,
                ExtendedAutomaton analysis_subject,
                ExtendedAutomaton emptiness_subject);
@@ -109,6 +135,8 @@ class CompiledSpec {
   ControlAlphabet analysis_alphabet_;
   ExtendedAutomaton emptiness_subject_;
   ControlAlphabet emptiness_alphabet_;
+  LazySControl analysis_scontrol_;
+  LazySControl emptiness_scontrol_;
   double compile_ms_ = 0;
   int states_stripped_ = 0;
   int transitions_stripped_ = 0;

@@ -164,6 +164,7 @@ Json Service::StatsJson() const {
   out.Set("cached_specs", Json::Number(static_cast<uint64_t>(cache_.size())));
   out.Set("cache_hits", Json::Number(cache_.hits()));
   out.Set("cache_misses", Json::Number(cache_.misses()));
+  out.Set("scontrol_builds", Json::Number(scontrol_builds_.load()));
   return out;
 }
 
@@ -331,8 +332,12 @@ QueryResponse Service::Execute(const QueryRequest& request) {
       options.search_mode = request.search_mode;
       options.analyze_and_strip = false;  // compiled away in CompiledSpec
       options.governor = governor.get();
+      bool built = false;
+      const Nba& scontrol = spec->emptiness_scontrol(&built);
+      scontrol_builds_ += built ? 1 : 0;
       auto result = CheckEraEmptiness(spec->emptiness_subject(),
-                                      spec->emptiness_alphabet(), options);
+                                      spec->emptiness_alphabet(), scontrol,
+                                      options);
       if (!result.ok()) {
         return fail(result.status(), ExitForStatus(result.status(), *governor));
       }
@@ -398,8 +403,12 @@ QueryResponse Service::Execute(const QueryRequest& request) {
       options.search_mode = request.search_mode;
       options.analyze_and_strip = false;
       options.governor = governor.get();
+      bool built = false;
+      const Nba& scontrol = spec->analysis_scontrol(&built);
+      scontrol_builds_ += built ? 1 : 0;
       auto result = EstimateLrBound(spec->analysis_subject(),
-                                    spec->analysis_alphabet(), options);
+                                    spec->analysis_alphabet(), scontrol,
+                                    options);
       if (!result.ok()) {
         return fail(result.status(), ExitForStatus(result.status(), *governor));
       }

@@ -13,13 +13,15 @@
 //   * compiled specs are shared immutably (shared_ptr<const
 //     CompiledSpec>), so concurrent queries against one spec race only
 //     on their own search state, exactly like the parallel lasso
-//     workers;
+//     workers — and on the first use of a subject's SControl NBA, which
+//     std::call_once settles;
 //   * every response embeds a per-request run report (base/report.h
 //     schema), so a service batch is observable with the same tooling
 //     as rav_cli --report files.
 //
 // See docs/serving.md for the wire format and lifecycle.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -134,6 +136,9 @@ class Service {
   uint64_t requests_ = 0;
   uint64_t failures_ = 0;
   uint64_t governor_trips_ = 0;
+  // SControl NBAs built for cached specs; a spec builds at most one per
+  // subject while it stays cached.
+  std::atomic<uint64_t> scontrol_builds_{0};
 };
 
 }  // namespace rav::service

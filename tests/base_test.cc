@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/arena.h"
 #include "base/bitset.h"
 #include "base/interner.h"
 #include "base/numbers.h"
@@ -52,46 +50,6 @@ Result<int> Doubled(Result<int> in) {
 TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_EQ(*Doubled(21), 42);
   EXPECT_FALSE(Doubled(Status::Internal("x")).ok());
-}
-
-// --- Arena ---
-
-TEST(ArenaTest, AllocatesAligned) {
-  Arena arena(128);
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Allocate(24, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-  }
-  EXPECT_GE(arena.bytes_allocated(), 2400u);
-  EXPECT_GT(arena.num_blocks(), 1u);
-}
-
-TEST(ArenaTest, NewConstructsValues) {
-  Arena arena;
-  struct Node {
-    int a;
-    double b;
-  };
-  Node* n = arena.New<Node>(Node{7, 3.5});
-  EXPECT_EQ(n->a, 7);
-  EXPECT_EQ(n->b, 3.5);
-  int* xs = arena.NewArray<int>(16);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(xs[i], 0);
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnBlock) {
-  Arena arena(64);
-  void* p = arena.Allocate(4096);
-  ASSERT_NE(p, nullptr);
-}
-
-TEST(ArenaTest, ResetDropsEverything) {
-  Arena arena;
-  arena.Allocate(100);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.num_blocks(), 0u);
 }
 
 // --- UnionFind ---

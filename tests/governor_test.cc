@@ -1,6 +1,6 @@
 // Tests of the resource-governed execution layer (docs/robustness.md):
-// the ExecutionGovernor itself, the failpoint layer, the CLI limit
-// parsers, Arena budget accounting, governor trips inside the decision
+// the ExecutionGovernor itself and its scoped memory charges, the
+// failpoint layer, the CLI limit parsers, governor trips inside the decision
 // procedures (deadline mid-search, cross-thread cancellation, memory
 // budget in complementation, worker-spawn degradation), and the
 // randomized differential that an armed-but-untripped governor never
@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "automata/complement.h"
-#include "base/arena.h"
 #include "base/failpoints.h"
 #include "base/governor.h"
 #include "base/numbers.h"
@@ -124,47 +123,6 @@ TEST(ScopedMemoryChargeTest, BalancesOnDestruction) {
   // A nullptr governor is a no-op charge.
   ScopedMemoryCharge unlimited(nullptr, 100);
   EXPECT_EQ(unlimited.charged(), 0u);
-}
-
-// --- Arena accounting ---
-
-TEST(ArenaTest, TracksBlocksAndTotalBytes) {
-  Arena arena(/*block_bytes=*/1024);
-  EXPECT_EQ(arena.block_count(), 0u);
-  EXPECT_EQ(arena.total_allocated(), 0u);
-  arena.Allocate(100);
-  EXPECT_EQ(arena.block_count(), 1u);
-  EXPECT_GE(arena.total_allocated(), 1024u);
-  arena.Allocate(4096);  // oversized allocation forces a dedicated block
-  EXPECT_EQ(arena.block_count(), 2u);
-  EXPECT_GE(arena.total_allocated(), 1024u + 4096u);
-  EXPECT_EQ(arena.bytes_allocated(), 100u + 4096u);
-  arena.Reset();
-  EXPECT_EQ(arena.block_count(), 0u);
-  EXPECT_EQ(arena.total_allocated(), 0u);
-}
-
-TEST(ArenaTest, ChargesGovernorPerBlockAndReleasesOnReset) {
-  ExecutionGovernor g;
-  Arena arena(/*block_bytes=*/1024);
-  arena.Allocate(100);  // a block held before the governor attaches
-  arena.set_governor(&g);
-  EXPECT_EQ(g.live_bytes(), arena.total_allocated());  // retroactive charge
-  arena.Allocate(8192);
-  EXPECT_EQ(g.live_bytes(), arena.total_allocated());
-  const size_t peak = g.peak_bytes();
-  arena.Reset();
-  EXPECT_EQ(g.live_bytes(), 0u);
-  EXPECT_EQ(g.peak_bytes(), peak);
-}
-
-TEST(ArenaTest, BudgetTripsAtBlockGrowth) {
-  ExecutionGovernor g;
-  g.set_memory_budget(2048);
-  Arena arena(/*block_bytes=*/1024);
-  arena.set_governor(&g);
-  for (int i = 0; i < 8; ++i) arena.Allocate(1000);
-  EXPECT_EQ(g.Check(), GovernorTrip::kMemoryBudget);
 }
 
 // --- Failpoints ---

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <random>
 #include <set>
+#include <sstream>
 
+#include "io/text_format.h"
 #include "ra/control.h"
 #include "ra/emptiness.h"
+#include "ra/random.h"
 #include "ra/register_automaton.h"
 #include "ra/run.h"
 #include "ra/simulate.h"
@@ -175,6 +182,172 @@ TEST(ControlTest, SControlAcceptsControlWordsOfRealRuns) {
     return checked < 25;
   });
   EXPECT_GT(checked, 0u);
+}
+
+// Oracle of BuildSControlNba: the all-pairs construction, which tries
+// every transition after every previous symbol, so states no run reaches
+// get edges too. Its reachable part is SControl by definition.
+Nba AllPairsSControlNba(const RegisterAutomaton& automaton,
+                        const ControlAlphabet& alphabet) {
+  const int num_symbols = alphabet.size();
+  const int width = num_symbols + 1;
+  Nba nba(num_symbols);
+  for (StateId q : automaton.States()) {
+    for (int p = 0; p < width; ++p) {
+      const int id = nba.AddState();
+      if (automaton.IsFinal(q)) nba.SetAccepting(id);
+    }
+  }
+  compile::FrontierCompatibility frontiers(alphabet.tables());
+  for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
+    const RaTransition& t = automaton.transition(ti);
+    const SymbolId symbol = alphabet.SymbolOfTransition(ti);
+    const GuardId guard = alphabet.guard_id_of_symbol(symbol);
+    for (int prev = -1; prev < num_symbols; ++prev) {
+      if (prev >= 0 &&
+          !frontiers.Compatible(alphabet.guard_id_of_symbol(SymbolId(prev)),
+                                guard)) {
+        continue;
+      }
+      nba.AddTransition(t.from.value() * width + (prev + 1), symbol.value(),
+                        t.to.value() * width + (symbol.value() + 1));
+    }
+  }
+  for (StateId q : automaton.InitialStates()) {
+    nba.SetInitial(q.value() * width);
+  }
+  return nba;
+}
+
+// Success iff `got` is `want` as far as a search can tell: same alphabet,
+// state count, initial states and accepting flags; the same edge list, in
+// the same order, at every state reachable from the initial ones; and the
+// same FindAcceptingLasso answer.
+::testing::AssertionResult SameReachableNba(const Nba& got, const Nba& want) {
+  if (got.alphabet_size() != want.alphabet_size() ||
+      got.num_states() != want.num_states() ||
+      got.initial() != want.initial()) {
+    return ::testing::AssertionFailure()
+           << "shape (alphabet, states, initial count): got ("
+           << got.alphabet_size() << ", " << got.num_states() << ", "
+           << got.initial().size() << "), want (" << want.alphabet_size()
+           << ", " << want.num_states() << ", " << want.initial().size()
+           << ")";
+  }
+  std::vector<bool> seen(want.num_states(), false);
+  std::vector<int> stack;
+  for (int s = 0; s < want.num_states(); ++s) {
+    if (got.IsAccepting(s) != want.IsAccepting(s)) {
+      return ::testing::AssertionFailure() << "acceptance of state " << s;
+    }
+  }
+  for (int s : want.initial()) {
+    if (!seen[s]) stack.push_back(s);
+    seen[s] = true;
+  }
+  while (!stack.empty()) {
+    const int s = stack.back();
+    stack.pop_back();
+    if (got.TransitionsFrom(s) != want.TransitionsFrom(s)) {
+      return ::testing::AssertionFailure()
+             << "edges of reachable state " << s << ": got "
+             << got.TransitionsFrom(s).size() << ", want "
+             << want.TransitionsFrom(s).size();
+    }
+    for (const auto& [symbol, to] : want.TransitionsFrom(s)) {
+      if (!seen[to]) stack.push_back(to);
+      seen[to] = true;
+    }
+  }
+  const std::optional<LassoWord> got_lasso = got.FindAcceptingLasso();
+  const std::optional<LassoWord> want_lasso = want.FindAcceptingLasso();
+  if (got_lasso.has_value() != want_lasso.has_value() ||
+      (got_lasso.has_value() &&
+       got_lasso->ToString() != want_lasso->ToString())) {
+    return ::testing::AssertionFailure()
+           << "FindAcceptingLasso: got "
+           << (got_lasso ? got_lasso->ToString() : "none") << ", want "
+           << (want_lasso ? want_lasso->ToString() : "none");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SControlMatchesOracle(
+    const RegisterAutomaton& automaton) {
+  ControlAlphabet alphabet(automaton);
+  return SameReachableNba(BuildSControlNba(automaton, alphabet),
+                          AllPairsSControlNba(automaton, alphabet));
+}
+
+TEST(ControlTest, SControlMatchesAllPairsOracle) {
+  // Seeded random automata, as generated and completed; fewer registers
+  // on the completed side, where each guard splits into its complete
+  // extensions.
+  std::mt19937 rng(20261017);
+  int completed = 0;
+  for (int i = 0; i < 240; ++i) {
+    RandomAutomatonOptions options;
+    options.num_registers = 1 + i % 3;
+    options.num_states = 2 + i % 4;
+    options.num_transitions = options.num_states + i % 7;
+    RegisterAutomaton a = RandomAutomaton(rng, options);
+    EXPECT_TRUE(SControlMatchesOracle(a)) << "random automaton " << i;
+    if (options.num_registers <= 2) {
+      Result<RegisterAutomaton> complete = Completed(a, 4096);
+      ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+      EXPECT_TRUE(SControlMatchesOracle(*complete))
+          << "completed random automaton " << i;
+      ++completed;
+    }
+  }
+  EXPECT_GE(completed, 100);
+
+  // Every committed spec, as written and completed.
+  std::vector<std::filesystem::path> paths;
+  for (const char* dir : {"tests/data", "examples/data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(RAV_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".rav") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 7u);
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    Result<ExtendedAutomaton> era = ParseExtendedAutomaton(text.str());
+    ASSERT_TRUE(era.ok()) << path << ": " << era.status().ToString();
+    EXPECT_TRUE(SControlMatchesOracle(era->automaton())) << path;
+    Result<RegisterAutomaton> complete = Completed(era->automaton());
+    ASSERT_TRUE(complete.ok()) << path << ": " << complete.status().ToString();
+    EXPECT_TRUE(SControlMatchesOracle(*complete)) << path << " (completed)";
+  }
+}
+
+TEST(ControlTest, SControlLeavesUnreachablePairsWithoutEdges) {
+  // Example 1 completed: (q, prev) gets edges only when prev = -1 or a
+  // transition reading prev enters q, so strictly fewer edges than the
+  // all-pairs construction and the same reachable automaton.
+  RegisterAutomaton a = Completed(MakeExample1()).value();
+  ControlAlphabet alphabet(a);
+  const Nba nba = BuildSControlNba(a, alphabet);
+  const Nba oracle = AllPairsSControlNba(a, alphabet);
+  EXPECT_LT(nba.num_transitions(), oracle.num_transitions());
+  const int width = alphabet.size() + 1;
+  std::vector<std::set<int>> entering(a.num_states());
+  for (int ti = 0; ti < a.num_transitions(); ++ti) {
+    entering[a.transition(ti).to.value()].insert(
+        alphabet.SymbolOfTransition(ti).value());
+  }
+  for (int s = 0; s < nba.num_states(); ++s) {
+    const int q = s / width;
+    const int prev = s % width - 1;
+    if (prev >= 0 && entering[q].count(prev) == 0) {
+      EXPECT_TRUE(nba.TransitionsFrom(s).empty()) << "state " << s;
+    }
+  }
+  EXPECT_TRUE(SameReachableNba(nba, oracle));
 }
 
 TEST(EmptinessTest, Example1HasRuns) {

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/failpoints.h"
+#include "base/metrics.h"
 #include "base/report.h"
+#include "era/emptiness.h"
+#include "projection/lr_bounded.h"
 #include "service/compiled_spec.h"
 #include "service/request.h"
 #include "service/service.h"
@@ -68,6 +78,50 @@ std::string RequestLine(const std::string& body) {
   return "{" + body + "}";
 }
 
+// The text form of bench_common.h's MakeShiftRingSearchEra(k, n, false):
+// ring edges shift registers, each state also skips two ahead with
+// x1 = y1. NONEMPTY (the all-equal valuation satisfies every guard).
+std::string ShiftRingText(int k, int n) {
+  std::string shift;
+  for (int i = 1; i < k; ++i) {
+    shift += " x" + std::to_string(i) + " = y" + std::to_string(i + 1);
+  }
+  std::string spec = "automaton {\n  registers " + std::to_string(k) + "\n";
+  for (int s = 0; s < n; ++s) {
+    spec += "  state s" + std::to_string(s) +
+            (s == 0 ? " initial final\n" : "\n");
+  }
+  for (int step : {1, 2}) {
+    for (int s = 0; s < n; ++s) {
+      spec += "  transition s" + std::to_string(s) + " -> s" +
+              std::to_string((s + step) % n) + " {" + shift +
+              (step == 2 ? " x1 = y1" : "") + " }\n";
+    }
+  }
+  return spec + "}\n";
+}
+
+// Every committed spec (tests/data, examples/data): (file name, text),
+// sorted by path.
+std::vector<std::pair<std::string, std::string>> CommittedSpecs() {
+  std::vector<std::filesystem::path> paths;
+  for (const char* dir : {"tests/data", "examples/data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(RAV_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".rav") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::pair<std::string, std::string>> specs;
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    specs.emplace_back(path.filename().string(), text.str());
+  }
+  return specs;
+}
+
 // --- content hash ---
 
 TEST(SpecContentHashTest, StableAndContentSensitive) {
@@ -114,6 +168,39 @@ TEST(CompiledSpecTest, StripsDeadStructureAtCompileTime) {
   // The analysis subject lost the limbo state; the parsed era kept it.
   EXPECT_LT((*spec)->analysis_subject().automaton().num_states(),
             (*spec)->era().automaton().num_states());
+}
+
+TEST(CompiledSpecTest, SControlIsBuiltOnFirstUseAndOnlyOnce) {
+  auto compiled = CompiledSpec::Compile(ShiftRingText(3, 8));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const CompiledSpec& spec = **compiled;
+  // Eight threads race the first use: one builds, all get the same NBA.
+  constexpr int kThreads = 8;
+  std::array<bool, kThreads> built{};
+  std::array<const Nba*, kThreads> nba{};
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      nba[t] = &spec.emptiness_scontrol(&built[t]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(std::count(built.begin(), built.end(), true), 1);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(nba[t], nba[0]);
+  const Nba fresh = BuildSControlNba(spec.emptiness_subject().automaton(),
+                                     spec.emptiness_alphabet());
+  EXPECT_EQ(nba[0]->num_states(), fresh.num_states());
+  EXPECT_EQ(nba[0]->num_transitions(), fresh.num_transitions());
+  // The analysis subject has its own NBA, built on its own first use.
+  bool analysis_built = false;
+  const Nba& analysis = spec.analysis_scontrol(&analysis_built);
+  EXPECT_TRUE(analysis_built);
+  EXPECT_NE(&analysis, nba[0]);
+  EXPECT_EQ(&spec.analysis_scontrol(&analysis_built), &analysis);
+  EXPECT_FALSE(analysis_built);
 }
 
 // --- SpecCache ---
@@ -324,6 +411,54 @@ TEST(ServiceTest, StatsCountRequestsAndCacheTraffic) {
   EXPECT_EQ(response.details.Find("requests")->number_value(), 2);
   EXPECT_EQ(response.details.Find("cache_hits")->number_value(), 1);
   EXPECT_EQ(response.details.Find("cache_misses")->number_value(), 1);
+}
+
+double StatOf(Service& service, const char* key) {
+  QueryRequest stats;
+  stats.id = "stats";
+  stats.op = Op::kStats;
+  const QueryResponse response = service.Handle(stats);
+  const Json* value = response.details.Find(key);
+  return value == nullptr ? -1 : value->number_value();
+}
+
+QueryRequest HashRequest(const std::string& id, Op op,
+                         const std::string& hash) {
+  QueryRequest request;
+  request.id = id;
+  request.op = op;
+  request.spec_hash = hash;
+  return request;
+}
+
+uint64_t MetricValue(const std::string& name) {
+  for (const metrics::MetricSnapshot& m : metrics::Snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
+
+// `service/cache_hits` counts hits by text and by hash alike, so it
+// agrees with the `stats` op; `service/scontrol_builds` likewise.
+TEST(ServiceTest, CacheHitAndBuildMetricsAgreeWithStats) {
+  Service service;
+  const uint64_t hits_before = MetricValue("service/cache_hits");
+  const uint64_t builds_before = MetricValue("service/scontrol_builds");
+  const QueryResponse first =
+      service.Handle(SpecRequest("m1", Op::kEmpty, kPingPong));
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(service.Handle(HashRequest("m2", Op::kEmpty, first.spec_hash))
+                  .cache_hit);
+  EXPECT_TRUE(service.Handle(SpecRequest("m3", Op::kLrBound, kPingPong))
+                  .cache_hit);
+  EXPECT_TRUE(
+      service.Handle(HashRequest("m4", Op::kLrBound, first.spec_hash))
+          .cache_hit);
+  EXPECT_EQ(StatOf(service, "cache_hits"), 3);
+  EXPECT_EQ(MetricValue("service/cache_hits") - hits_before, 3u);
+  // One NBA per subject: emptiness, then analysis.
+  EXPECT_EQ(StatOf(service, "scontrol_builds"), 2);
+  EXPECT_EQ(MetricValue("service/scontrol_builds") - builds_before, 2u);
 }
 
 TEST(ServiceTest, ResponseJsonLineIsOneParseableLine) {
@@ -543,6 +678,169 @@ TEST(ServiceUniformErrorsTest, BadRequestsAndDuplicatesAreClassified) {
   ASSERT_TRUE(service.Cancel("dup"));
   runner.join();
   EXPECT_TRUE(slow_response.ok) << slow_response.error;
+}
+
+// --- cached SControl NBAs ---
+
+// SearchStats::ToString without its wall-clock field.
+std::string WithoutWallTime(std::string line) {
+  const size_t at = line.find(" wall_ms=");
+  if (at == std::string::npos) return line;
+  const size_t end = line.find(' ', at + 1);
+  line.erase(at, end == std::string::npos ? std::string::npos : end - at);
+  return line;
+}
+
+void ExpectSameStats(const SearchStats& got, const SearchStats& want) {
+  EXPECT_EQ(got.stop_reason, want.stop_reason);
+  EXPECT_EQ(got.lassos_enumerated, want.lassos_enumerated);
+  EXPECT_EQ(got.lassos_checked, want.lassos_checked);
+  EXPECT_EQ(got.closures_built, want.closures_built);
+  EXPECT_EQ(got.closures_extended, want.closures_extended);
+  EXPECT_EQ(got.inconsistent_closures, want.inconsistent_closures);
+  EXPECT_EQ(got.enumeration_steps, want.enumeration_steps);
+  EXPECT_EQ(got.workers, want.workers);
+  EXPECT_EQ(got.mode, want.mode);
+  EXPECT_EQ(got.visited_hits, want.visited_hits);
+  EXPECT_EQ(got.visited_entries, want.visited_entries);
+  EXPECT_EQ(got.pool_bytes, want.pool_bytes);
+  EXPECT_EQ(got.guard_evals, want.guard_evals);
+  EXPECT_EQ(got.guard_batches, want.guard_batches);
+  EXPECT_EQ(got.guard_table_bytes, want.guard_table_bytes);
+}
+
+std::string Detail(const QueryResponse& response, const char* key) {
+  const Json* value = response.details.Find(key);
+  return value == nullptr ? "<absent>" : value->Dump(0);
+}
+
+// Answering from the cached NBA changes nothing: for every committed
+// spec, two `empty` and two `lrbound` answers from one cached spec — by
+// text, then by hash, and through the NBA-taking forms — equal a one-shot
+// CheckEraEmptiness / EstimateLrBound on the same subject.
+TEST(CachedSControlTest, AnswersEqualOneShotProceduresOnEveryCommittedSpec) {
+  const auto specs = CommittedSpecs();
+  ASSERT_GE(specs.size(), 7u);
+  for (const auto& [name, text] : specs) {
+    SCOPED_TRACE(name);
+    auto compiled = CompiledSpec::Compile(text);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const CompiledSpec& spec = **compiled;
+    // Service::Execute's options: the strip happened at compile time.
+    EraEmptinessOptions empty_options;
+    empty_options.analyze_and_strip = false;
+    LrBoundOptions lr_options;
+    lr_options.analyze_and_strip = false;
+    const auto empty = CheckEraEmptiness(
+        spec.emptiness_subject(), spec.emptiness_alphabet(), empty_options);
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    const auto lr = EstimateLrBound(spec.analysis_subject(),
+                                    spec.analysis_alphabet(), lr_options);
+
+    Service service;
+    std::string hash;
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(round == 0 ? "first answer" : "second answer");
+      const auto cached_empty = CheckEraEmptiness(
+          spec.emptiness_subject(), spec.emptiness_alphabet(),
+          spec.emptiness_scontrol(), empty_options);
+      ASSERT_TRUE(cached_empty.ok());
+      EXPECT_EQ(cached_empty->nonempty, empty->nonempty);
+      EXPECT_EQ(cached_empty->control_word.ToString(),
+                empty->control_word.ToString());
+      EXPECT_EQ(cached_empty->lassos_tried, empty->lassos_tried);
+      EXPECT_EQ(cached_empty->search_truncated, empty->search_truncated);
+      ExpectSameStats(cached_empty->stats, empty->stats);
+
+      const auto cached_lr =
+          EstimateLrBound(spec.analysis_subject(), spec.analysis_alphabet(),
+                          spec.analysis_scontrol(), lr_options);
+      ASSERT_EQ(cached_lr.ok(), lr.ok());
+      if (lr.ok()) {
+        EXPECT_EQ(cached_lr->max_cover, lr->max_cover);
+        EXPECT_EQ(cached_lr->growth_detected, lr->growth_detected);
+        EXPECT_EQ(cached_lr->lassos_examined, lr->lassos_examined);
+        EXPECT_EQ(cached_lr->search_truncated, lr->search_truncated);
+        ExpectSameStats(cached_lr->stats, lr->stats);
+      } else {
+        EXPECT_EQ(cached_lr.status().ToString(), lr.status().ToString());
+      }
+
+      // Through the wire seam: by text first (a compile), then by hash.
+      const QueryResponse e =
+          round == 0 ? service.Handle(SpecRequest("e", Op::kEmpty, text))
+                     : service.Handle(HashRequest("e", Op::kEmpty, hash));
+      ASSERT_TRUE(e.ok) << e.error;
+      hash = e.spec_hash;
+      EXPECT_EQ(e.verdict.rfind("NONEMPTY", 0) == 0, empty->nonempty);
+      EXPECT_EQ(Detail(e, "witness"),
+                empty->nonempty
+                    ? Json::String(empty->control_word.ToString()).Dump(0)
+                    : "<absent>");
+      EXPECT_EQ(Detail(e, "stop_reason"),
+                Json::String(SearchStopReasonName(empty->stats.stop_reason))
+                    .Dump(0));
+      const Json* search = e.details.Find("search");
+      ASSERT_NE(search, nullptr);
+      EXPECT_EQ(WithoutWallTime(search->string_value()),
+                WithoutWallTime(empty->stats.ToString()));
+
+      const QueryResponse l = service.Handle(HashRequest("l", Op::kLrBound,
+                                                         hash));
+      ASSERT_EQ(l.ok, lr.ok());
+      if (lr.ok()) {
+        EXPECT_EQ(Detail(l, "max_cover"),
+                  Json::Number(lr->max_cover).Dump(0));
+        EXPECT_EQ(Detail(l, "growth_detected"),
+                  Json::Bool(lr->growth_detected).Dump(0));
+        EXPECT_EQ(Detail(l, "lassos_examined"),
+                  Json::Number(static_cast<uint64_t>(lr->lassos_examined))
+                      .Dump(0));
+        EXPECT_EQ(Detail(l, "stop_reason"),
+                  Json::String(SearchStopReasonName(lr->stats.stop_reason))
+                      .Dump(0));
+      } else {
+        EXPECT_EQ(l.error, lr.status().ToString());
+      }
+    }
+    // Four queries, one NBA per subject.
+    EXPECT_EQ(StatOf(service, "scontrol_builds"), 2);
+  }
+}
+
+// Eight requests race the first `empty` on a freshly compiled spec: all
+// get the same answer, and the NBA is built once.
+TEST(CachedSControlTest, RacingFirstQueriesShareOneBuild) {
+  Service service;
+  // `info` compiles the spec without building any NBA.
+  const QueryResponse info =
+      service.Handle(SpecRequest("compile", Op::kInfo, ShiftRingText(3, 8)));
+  ASSERT_TRUE(info.ok) << info.error;
+  EXPECT_EQ(StatOf(service, "scontrol_builds"), 0);
+  constexpr int kThreads = 8;
+  std::vector<QueryResponse> responses(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const QueryRequest request =
+          HashRequest("race" + std::to_string(t), Op::kEmpty, info.spec_hash);
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      responses[t] = service.Handle(request);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.verdict, "NONEMPTY");
+    EXPECT_EQ(Detail(r, "witness"), Detail(responses[0], "witness"));
+    EXPECT_EQ(Detail(r, "stop_reason"), Detail(responses[0], "stop_reason"));
+    EXPECT_EQ(WithoutWallTime(r.details.Find("search")->string_value()),
+              WithoutWallTime(
+                  responses[0].details.Find("search")->string_value()));
+  }
+  EXPECT_EQ(StatOf(service, "scontrol_builds"), 1);
 }
 
 }  // namespace

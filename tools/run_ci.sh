@@ -211,8 +211,36 @@ if not responses["inspect"]["ok"]:
 hits = [responses[f"q{i}"]["cache_hit"] for i in range(8)]
 if True not in hits:
     sys.exit("no query hit the CompiledSpec cache — amortization is broken")
+# `stats` is answered inline, possibly before the queries finish; however
+# far they got, nine `empty` queries on one spec build one SControl NBA.
+if responses["tally"]["details"]["scontrol_builds"] > 1:
+    sys.exit(f"empty queries rebuilt the cached NBA: {responses['tally']}")
+
+# Repeated empty/lrbound queries against one cached spec, one at a time so
+# the closing `stats` sees all of them: one NBA per subject, no rebuild.
+proc = subprocess.Popen(["build/tools/rav_serve", "--threads", "2"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                        text=True)
+def ask(request):
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+spec_hash = ask({"id": "c", "op": "empty", "spec": spec})["spec_hash"]
+for i in range(3):
+    for op, want in (("empty", "NONEMPTY"), ("lrbound", "no growth detected")):
+        r = ask({"id": f"{op}{i}", "op": op, "spec_hash": spec_hash})
+        if not (r["ok"] and r["verdict"] == want and r["cache_hit"]):
+            sys.exit(f"cached {op} query failed: {r}")
+stats = ask({"id": "tally", "op": "stats"})["details"]
+proc.stdin.close()
+if proc.wait(timeout=30) != 0:
+    sys.exit("rav_serve did not shut down cleanly after the cached queries")
+if stats["scontrol_builds"] != 2 or stats["cache_hits"] != 6:
+    sys.exit(f"7 queries on one spec: want 2 NBA builds and 6 cache hits, "
+             f"got {stats}")
 print("rav_serve smoke passed: 1 tripped + 8 isolated queries, "
-      f"{sum(hits)}/8 cache hits, clean shutdown")
+      f"{sum(hits)}/8 cache hits, clean shutdown; 7 cached empty/lrbound "
+      "queries built 2 SControl NBAs")
 EOF
 
 echo "== socket-transport smoke =="
