@@ -6,6 +6,8 @@
 // experiment E1..E14; sizes are chosen so the whole suite completes in a
 // few minutes.
 
+#include <string>
+
 #include "base/numbers.h"
 #include "era/extended_automaton.h"
 #include "ra/register_automaton.h"
@@ -86,8 +88,9 @@ inline ExtendedAutomaton MakeExample5() {
 // distinct guard (shift plus x1 = y1), so the accepting-lasso space is
 // exponential in the length bound. With `contradictory`, an equality and
 // an inequality constraint both span every s0...s0 factor of the trace:
-// every candidate lasso builds a full constraint closure and is rejected —
-// the all-reject workload the parallel engine distributes across workers.
+// every candidate lasso is rejected, already on the lasso as written
+// (the emptiness search's unpumped probe) — the all-reject workload the
+// parallel engine distributes across workers.
 // Without it the ERA is nonempty and the search must return the same first
 // witness at any worker count.
 inline ExtendedAutomaton MakeShiftRingSearchEra(int k, int n,
@@ -105,6 +108,37 @@ inline ExtendedAutomaton MakeShiftRingSearchEra(int k, int n,
     RAV_CHECK(era.AddConstraintFromText(r00, true, "s0 .* s0").ok());
     RAV_CHECK(era.AddConstraintFromText(r00, false, "s0 .* s0").ok());
   }
+  return era;
+}
+
+// The pump-only contradiction (the in-flight fixture of the service and
+// transport tests, PumpOnlyEmptySpecText in tests/test_util.h): a complete
+// digraph on 8 final states whose only guard keeps x1, and an inequality
+// across every factor of exactly 24 positions. Every lasso of at most 12
+// symbols is consistent as written, so each candidate passes the
+// unpumped probe and is refuted only on its pumped window — the case the
+// probe cannot speed up. Always EMPTY.
+inline ExtendedAutomaton MakePumpOnlyContradiction() {
+  const int n = 8;
+  RegisterAutomaton a(1, Schema());
+  for (int s = 0; s < n; ++s) {
+    a.SetFinal(a.AddState(NumberedName("q", s)));
+  }
+  a.SetInitial(StateId(0));
+  TypeBuilder keep = a.NewGuardBuilder();
+  keep.AddEq(keep.X(0), keep.Y(0));
+  const Type guard = keep.Build().value();
+  for (int s = 0; s < n; ++s) {
+    for (int t = 0; t < n; ++t) {
+      a.AddTransition(StateId(s), guard, StateId(t));
+    }
+  }
+  ExtendedAutomaton era(std::move(a));
+  std::string factor = ".";
+  for (int i = 1; i < 24; ++i) factor += " .";
+  RAV_CHECK(era.AddConstraintFromText(
+                   RegisterPair{RegisterId(0), RegisterId(0)}, false, factor)
+                .ok());
   return era;
 }
 

@@ -5,10 +5,15 @@
 // witnesses identical to the serial search.
 // Counters: nonempty, lassos_tried, stop_reason (SearchStopReason enum
 // value: 0 witness-found, 1 exhausted, 2 length-bound, 3 lasso-budget,
-// 4 step-budget, 8 visit-bound), closures, workers.
+// 4 step-budget, 8 visit-bound), closures, workers; the drain rungs also
+// report closure_nodes, the constraint-graph nodes built per search.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string_view>
+
+#include "base/metrics.h"
 #include "bench_common.h"
 #include "era/emptiness.h"
 #include "ra/transform.h"
@@ -24,6 +29,48 @@ void AddSearchCounters(benchmark::State& state, const SearchStats& stats) {
   state.counters["inconsistent"] =
       static_cast<double>(stats.inconsistent_closures);
   state.counters["workers"] = static_cast<double>(stats.workers);
+}
+
+uint64_t HistogramSum(std::string_view name) {
+  for (const metrics::MetricSnapshot& m : metrics::Snapshot()) {
+    if (m.name == name) return m.histogram.sum;
+  }
+  return 0;
+}
+
+// Constraint-graph nodes built so far in this process: every closure
+// built from scratch (a reference-engine ExtendedBy is a rebuild) plus
+// the k nodes per position a linear ExtendedBy appends. A count that does
+// not depend on the machine; 0 when metrics are compiled out.
+uint64_t ClosureNodesBuilt(int num_registers) {
+  return HistogramSum("era/closure/nodes") +
+         static_cast<uint64_t>(num_registers) *
+             HistogramSum("era/closure/extended_positions");
+}
+
+// Searches `era` with default options over a prebuilt SControl NBA, as
+// the service answers a cached spec's `empty`, and reports the search
+// counters plus the closure nodes each search built.
+void RunDrain(benchmark::State& state, const ExtendedAutomaton& era) {
+  ControlAlphabet alphabet(era.automaton());
+  const Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  const EraEmptinessOptions options;
+  EraEmptinessResult last;
+  const uint64_t nodes_before =
+      ClosureNodesBuilt(era.automaton().num_registers());
+  for (auto _ : state) {
+    auto result = CheckEraEmptiness(era, alphabet, scontrol, options);
+    RAV_CHECK(result.ok());
+    last = *std::move(result);
+    benchmark::DoNotOptimize(last);
+  }
+  const uint64_t nodes =
+      ClosureNodesBuilt(era.automaton().num_registers()) - nodes_before;
+  RAV_CHECK(!last.nonempty);
+  state.counters["nonempty"] = last.nonempty;  // expected 0
+  state.counters["closure_nodes"] =
+      static_cast<double>(nodes) / static_cast<double>(state.iterations());
+  AddSearchCounters(state, last.stats);
 }
 
 void BM_EmptinessExample5(benchmark::State& state) {
@@ -105,9 +152,10 @@ BENCHMARK(BM_EmptinessExample8);
 void BM_EmptinessShiftRingParallel(benchmark::State& state) {
   // The parallel-engine workload: a 4-register shift ring with skip
   // transitions (exponential lasso space) under contradictory global
-  // constraints, so every candidate builds a full closure and is
-  // rejected. Arg = worker count; verdicts and witnesses are checked
-  // byte-identical to the serial reference on every run.
+  // constraints, so every candidate is rejected — on the lasso as
+  // written, before any pumping, since the contradiction spans one pass
+  // of the s0 ... s0 cycle. Arg = worker count; verdicts and witnesses
+  // are checked byte-identical to the serial reference on every run.
   const int workers = static_cast<int>(state.range(0));
   ExtendedAutomaton era = bench::MakeShiftRingSearchEra(4, 6, true);
   ControlAlphabet alphabet(era.automaton());
@@ -175,6 +223,22 @@ BENCHMARK(BM_EmptinessShiftRingWitnessParallel)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_EmptinessShiftRingDrain(benchmark::State& state) {
+  // The search_mix drain: the contradictory k=3, n=8 ring, its 5,000
+  // default candidates each refuted on the lasso as written, so no
+  // pumped window is built (extended = 0).
+  RunDrain(state,
+           bench::CompletedEra(bench::MakeShiftRingSearchEra(3, 8, true)));
+}
+BENCHMARK(BM_EmptinessShiftRingDrain)->Unit(benchmark::kMillisecond);
+
+void BM_EmptinessPumpOnlyContradiction(benchmark::State& state) {
+  // The probe's worst case: every candidate passes the probe and is
+  // refuted only after growing to its pumped window (extended = closures).
+  RunDrain(state, bench::CompletedEra(bench::MakePumpOnlyContradiction()));
+}
+BENCHMARK(BM_EmptinessPumpOnlyContradiction)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rav

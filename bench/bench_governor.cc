@@ -26,9 +26,10 @@ namespace rav {
 namespace {
 
 EraEmptinessOptions SearchOptions(const ExecutionGovernor* governor) {
-  // The all-reject workload of bench_emptiness: every candidate builds a
-  // full closure and is rejected, so the search is long and the per-
-  // candidate governor poll is exercised on every single candidate.
+  // The all-reject workload of bench_emptiness: every candidate is
+  // rejected (on the lasso as written), so the search runs its whole
+  // budget and the per-candidate governor poll is exercised on every
+  // single candidate.
   EraEmptinessOptions options;
   options.max_lasso_length = 10;
   options.max_lassos = 2000;

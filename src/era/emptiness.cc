@@ -13,11 +13,6 @@ namespace rav {
 
 namespace {
 
-// Window length for a pumped lasso.
-size_t WindowLength(const LassoWord& w, size_t pump) {
-  return w.prefix.size() + w.cycle.size() * pump;
-}
-
 // Translates a witness found on the stripped automaton back into the
 // caller's alphabet: a stripped symbol (q', δ) maps to the original
 // symbol (q, δ) where q is the original state with q's name (states keep
@@ -251,16 +246,29 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
   auto evaluate = [&](const LassoCandidate& candidate,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
-    const size_t window = WindowLength(lasso, pump);
+    // Probe the lasso as written (one pass of its cycle) before pumping
+    // it. A window's constraints are a subset of any longer window's:
+    // the positions before the probe's last carry the same full types,
+    // the last one's x̄-restricted type is implied by its full type, and
+    // every constraint factor inside the probe lies inside the pumped
+    // window too. So a contradiction on the probe is the pumped window's
+    // verdict, and only candidates consistent as written pay the pump.
     ++counters.closures_built;
-    ConstraintClosure closure(era, alphabet, lasso, window,
+    ConstraintClosure closure(era, alphabet, lasso,
+                              lasso.prefix.size() + lasso.cycle.size(),
                               &counters.scratch);
-    // Account this candidate's closure against the memory budget for as
-    // long as it is alive; the engine notices a trip before the next
+    // Account this candidate's closures against the memory budget for as
+    // long as they are alive; the engine notices a trip before the next
     // candidate is evaluated.
     ScopedMemoryCharge closure_charge(options.governor,
                                       closure.ApproxBytes());
     if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    if (pump > 1) {
+      ++counters.closures_extended;
+      closure = closure.ExtendedBy(pump - 1, &counters.scratch);
+      closure_charge.Add(closure.ApproxBytes());
+      if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    }
     if (has_database && options.check_unbounded_adom) {
       // Example 8 guard: if one more cycle strictly grows the largest
       // clique of G_w, no finite database can support the infinite

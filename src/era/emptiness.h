@@ -18,7 +18,8 @@ struct EraEmptinessOptions {
   size_t max_lassos = 5000;
   size_t max_search_steps = 500000;
   // Cycle pump count for the constraint-closure window; 0 = automatic
-  // (SuggestedPumpCount).
+  // (SuggestedPumpCount). A lasso already inconsistent as written
+  // (prefix + one cycle) is rejected without being pumped.
   size_t pump = 0;
   // With a database, reject lassos whose adom inequality graph grows a
   // strictly larger clique when the window is extended by one more cycle

@@ -1,5 +1,8 @@
 #include "service/request.h"
 
+#include <cmath>
+#include <string>
+
 #include "base/failpoints.h"
 #include "base/numbers.h"
 #include "base/report.h"
@@ -148,13 +151,18 @@ Result<QueryRequest> ParseRequest(const std::string& line) {
   }
 
   if (const Json* threads = object.Find("threads"); threads != nullptr) {
-    if (!threads->is_number() || threads->number_value() < 0 ||
-        threads->number_value() != static_cast<double>(static_cast<int>(
-                                       threads->number_value()))) {
-      return Status::InvalidArgument(
-          "threads: must be a non-negative integer");
+    // Range-check the double before converting it: casting a value
+    // outside int's range (1e10, or the +inf that 1e999 parses to) is
+    // undefined behaviour. The negated test also rejects NaN.
+    const double value = threads->is_number() ? threads->number_value() : -1;
+    if (!(value >= 0 && value <= kMaxRequestThreads) ||
+        value != std::floor(value)) {
+      std::string message = "threads: must be an integer in [0, ";
+      message += std::to_string(kMaxRequestThreads);
+      message += "]";
+      return Status::InvalidArgument(message);
     }
-    request.threads = static_cast<int>(threads->number_value());
+    request.threads = static_cast<int>(value);
   }
 
   RAV_ASSIGN_OR_RETURN(std::string mode_name,

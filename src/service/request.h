@@ -27,6 +27,12 @@ namespace rav::service {
 // the frontend, its --help text, and docs/serving.md cannot drift apart.
 inline constexpr int kDefaultServeThreads = 4;
 
+// The largest `threads` one request may ask for. A request's search
+// workers are OS threads, so without a cap a single request line could
+// ask the server for thousands of them. 0 (all hardware threads) stays
+// valid; docs/serving.md states the same bound.
+inline constexpr int kMaxRequestThreads = 64;
+
 // The ops a request may name. kStats and kCancel are control ops that
 // need no spec.
 enum class Op {
@@ -52,7 +58,8 @@ struct QueryRequest {
   long long timeout_ms = -1;     // -1 = unlimited; 0 arms an already-
   long long memory_bytes = -1;   //   expired budget (as rav_cli
                                  //   --timeout 0ms does)
-  // Lasso-check workers (as rav_cli --threads).
+  // Lasso-check workers (as rav_cli --threads), at most
+  // kMaxRequestThreads.
   int threads = kDefaultSearchWorkers;
   // Lasso-engine work sharing (as rav_cli --search-mode).
   SearchMode search_mode = SearchMode::kPartitioned;

@@ -173,6 +173,37 @@ TEST(ClosureDiffTest, ReferenceEngineExtendedByRebuilds) {
   ExpectSameClosure(wider, rebuilt);
 }
 
+// The emptiness search refutes a candidate on the lasso as written and
+// pumps only the survivors. That is sound because a window's constraints
+// are a subset of any longer window's: once a word's closure is
+// inconsistent at a window W', it is inconsistent at every W >= W'.
+// Checked over every window of each random word, with the default engine
+// the search uses.
+TEST(ClosureDiffTest, InconsistencyPersistsIntoEveryLargerWindow) {
+  std::mt19937 rng(20261017);
+  ClosureScratch scratch;
+  int flips = 0;  // words consistent at some window, inconsistent later
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    RandomInstance inst = MakeInstance(rng);
+    size_t first_inconsistent = 0;
+    for (size_t window = 1; window <= 32; ++window) {
+      ConstraintClosure closure(inst.era, inst.alphabet, inst.word, window,
+                                &scratch);
+      if (first_inconsistent == 0) {
+        if (!closure.consistent()) {
+          first_inconsistent = window;
+          flips += window > 1;
+        }
+        continue;
+      }
+      EXPECT_FALSE(closure.consistent())
+          << "iteration " << iteration << ": inconsistent at window "
+          << first_inconsistent << " but consistent at " << window;
+    }
+  }
+  EXPECT_GT(flips, 0);  // the property was exercised, not vacuous
+}
+
 // kAuto picks the reference restarts below the crossover window and the
 // linear sweep above it, and an auto-picked small closure extended past
 // the crossover re-resolves to the linear engine.

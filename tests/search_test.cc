@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -433,6 +434,209 @@ TEST(ParallelSearch, StatsToStringMentionsStopReason) {
   stats.stop_reason = SearchStopReason::kVisitBound;
   EXPECT_NE(stats.ToString().find("stop=visit-bound"), std::string::npos);
   EXPECT_TRUE(stats.truncated());
+}
+
+// ---------------------------------------------------------------------------
+// The probe-then-pump evaluator against its oracle. SearchConsistentLasso
+// closes each candidate over the lasso as written and grows the closure
+// to the pumped window only when that probe is consistent. The oracle is
+// the evaluator it replaced: one closure at the full pumped window per
+// candidate. A window's constraints are a subset of any longer window's,
+// so both must reach the same verdict on every candidate, and the
+// searches may differ only in how many closures were extended.
+
+EraEmptinessResult SearchWithFullWindowOracle(
+    const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
+    const Nba& nba, const EraEmptinessOptions& options) {
+  const size_t pump =
+      options.pump > 0 ? options.pump : SuggestedPumpCount(era);
+  const bool has_database = era.automaton().schema().num_relations() > 0;
+  auto evaluate = [&](const LassoCandidate& candidate,
+                      LassoWorkerCounters& counters) -> LassoVerdict {
+    const LassoWord& lasso = candidate.word;
+    ++counters.closures_built;
+    ConstraintClosure closure(era, alphabet, lasso,
+                              lasso.prefix.size() + lasso.cycle.size() * pump,
+                              &counters.scratch);
+    if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    if (has_database && options.check_unbounded_adom) {
+      ++counters.closures_extended;
+      ConstraintClosure wider = closure.ExtendedBy(1, &counters.scratch);
+      const int now = closure.AdomCliqueNumber(options.clique_max_nodes);
+      const int next = wider.AdomCliqueNumber(options.clique_max_nodes);
+      if (now >= 0 && next >= 0 && next > now) return LassoVerdict::kReject;
+    }
+    Result<RunWitness> witness =
+        RealizeEraWitness(era, alphabet, lasso, closure, &counters.guard);
+    return witness.ok() ? LassoVerdict::kWitness : LassoVerdict::kReject;
+  };
+  LassoSearchOptions search;
+  search.max_lasso_length = options.max_lasso_length;
+  search.max_lassos = options.max_lassos;
+  search.max_search_steps = options.max_search_steps;
+  search.num_workers = options.num_workers;
+  search.batch_size = options.batch_size;
+  LassoSearchOutcome outcome = SearchLassos(nba, search, evaluate);
+  EraEmptinessResult result;
+  result.nonempty = outcome.witness.has_value();
+  if (result.nonempty) result.control_word = outcome.witness->word;
+  result.stats = outcome.stats;
+  return result;
+}
+
+// Runs the production search and the oracle on `era` at 1 and 4 workers
+// and compares them. A parallel search that finds a witness may evaluate
+// a few candidates past it before they are cancelled (see SearchLassos),
+// so its counters are compared only when they are deterministic: on one
+// worker, or when no witness stopped the search early.
+void ExpectProbeMatchesOracle(const std::string& label,
+                              const ExtendedAutomaton& era,
+                              EraEmptinessOptions options = {}) {
+  ControlAlphabet alphabet(era.automaton());
+  Nba nba = BuildSControlNba(era.automaton(), alphabet);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(label + " at " + std::to_string(workers) + " workers");
+    options.num_workers = workers;
+    const EraEmptinessResult got =
+        SearchConsistentLasso(era, alphabet, nba, options);
+    const EraEmptinessResult want =
+        SearchWithFullWindowOracle(era, alphabet, nba, options);
+    EXPECT_EQ(got.nonempty, want.nonempty);
+    EXPECT_EQ(got.control_word.prefix, want.control_word.prefix);
+    EXPECT_EQ(got.control_word.cycle, want.control_word.cycle);
+    EXPECT_EQ(got.stats.stop_reason, want.stats.stop_reason);
+    if (workers > 1 && want.nonempty) continue;
+    EXPECT_EQ(got.stats.lassos_enumerated, want.stats.lassos_enumerated);
+    EXPECT_EQ(got.stats.lassos_checked, want.stats.lassos_checked);
+    EXPECT_EQ(got.stats.closures_built, want.stats.closures_built);
+    EXPECT_EQ(got.stats.inconsistent_closures,
+              want.stats.inconsistent_closures);
+    EXPECT_EQ(got.stats.enumeration_steps, want.stats.enumeration_steps);
+    EXPECT_EQ(got.stats.workers, want.stats.workers);
+    EXPECT_EQ(got.stats.guard_evals, want.stats.guard_evals);
+    EXPECT_EQ(got.stats.guard_batches, want.stats.guard_batches);
+  }
+}
+
+TEST(ProbeThenPump, MatchesOracleOnCommittedSpecs) {
+  for (const char* dir : {"examples/data", "tests/data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(RAV_SOURCE_DIR) + "/" + dir)) {
+      if (entry.path().extension() != ".rav") continue;
+      std::ifstream in(entry.path());
+      std::ostringstream text;
+      text << in.rdbuf();
+      Result<ExtendedAutomaton> parsed = ParseExtendedAutomaton(text.str());
+      ASSERT_TRUE(parsed.ok()) << entry.path();
+      ExpectProbeMatchesOracle(entry.path().filename().string(),
+                               CompletedEra(*parsed));
+    }
+  }
+}
+
+TEST(ProbeThenPump, MatchesOracleOnShiftRings) {
+  // The contradictory rings are the drains the probe exists for: every
+  // candidate is refuted on the lasso as written.
+  for (int k : {2, 3}) {
+    for (int n : {4, 8}) {
+      const std::string ring =
+          NumberedName("ring k=", k) + NumberedName(" n=", n);
+      ExpectProbeMatchesOracle(ring + " contradictory",
+                               MakeShiftRingSearchEra(k, n, true));
+      ExpectProbeMatchesOracle(ring + " live",
+                               MakeShiftRingSearchEra(k, n, false));
+    }
+  }
+}
+
+// E15's span-7 pair (bench/bench_ablation_pump.cc): an equality across
+// every 7-position factor, with an inequality across 7-position factors
+// (contradictory) or 4-position ones (consistent). The one-symbol lasso
+// is consistent as written; the contradiction needs a window of 7, so
+// pumps 2 and 4 miss it and pump 7 finds it.
+ExtendedAutomaton MakeLongSpanEra(bool contradictory) {
+  RegisterAutomaton a(1, Schema());
+  StateId q = a.AddState("q");
+  a.SetInitial(q);
+  a.SetFinal(q);
+  a.AddTransition(q, a.NewGuardBuilder().Build().value(), q);
+  ExtendedAutomaton era(std::move(a));
+  const RegisterPair r00{RegisterId(0), RegisterId(0)};
+  RAV_CHECK(era.AddConstraintFromText(r00, true, "q q q q q q q").ok());
+  RAV_CHECK(era.AddConstraintFromText(
+                   r00, false, contradictory ? "q q q q q q q" : "q q q q")
+                .ok());
+  return era;
+}
+
+TEST(ProbeThenPump, MatchesOracleOnLongSpanPairAtEveryPump) {
+  for (bool contradictory : {true, false}) {
+    for (size_t pump : {0, 2, 4, 7}) {
+      EraEmptinessOptions options;
+      options.pump = pump;
+      ExpectProbeMatchesOracle(
+          std::string(contradictory ? "contradictory" : "consistent") +
+              " span pair, pump " + std::to_string(pump),
+          CompletedEra(MakeLongSpanEra(contradictory)), options);
+    }
+  }
+  // The verdicts the pair exists for: only a window covering the span
+  // refutes the contradictory variant.
+  ExtendedAutomaton era = CompletedEra(MakeLongSpanEra(true));
+  ControlAlphabet alphabet(era.automaton());
+  for (size_t pump : {2, 4, 7}) {
+    EraEmptinessOptions options;
+    options.pump = pump;
+    auto result = CheckEraEmptiness(era, alphabet, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->nonempty, pump < 7) << "pump " << pump;
+  }
+}
+
+TEST(ProbeThenPump, MatchesOracleOnExample8) {
+  // A unary relation holds every value, and all values are distinct:
+  // the Example-8 clique guard rejects each consistent lasso, on the
+  // grown closure and one cycle past it.
+  Schema schema;
+  RelationId p = schema.AddRelation("P", 1);
+  RegisterAutomaton a(1, schema);
+  StateId q = a.AddState("q");
+  a.SetInitial(q);
+  a.SetFinal(q);
+  TypeBuilder b = a.NewGuardBuilder();
+  b.AddAtom(p, {b.X(0)}, true).AddAtom(p, {b.Y(0)}, true);
+  a.AddTransition(q, b.Build().value(), q);
+  ExtendedAutomaton era(Completed(a).value());
+  RAV_CHECK(era.AddConstraintFromText(
+                   RegisterPair{RegisterId(0), RegisterId(0)}, false, "q q+")
+                .ok());
+  EraEmptinessOptions options;
+  options.max_lasso_length = 6;
+  options.max_lassos = 500;
+  ExpectProbeMatchesOracle("example 8", era, options);
+}
+
+TEST(ProbeThenPump, PumpOnlyContradictionIsRefutedOnThePumpedWindow) {
+  // The in-flight fixture of the service and transport tests: every
+  // candidate is consistent as written, so each one is grown to the
+  // pumped window, and only there found inconsistent.
+  Result<ExtendedAutomaton> parsed =
+      ParseExtendedAutomaton(testing::PumpOnlyEmptySpecText());
+  ASSERT_TRUE(parsed.ok());
+  ExtendedAutomaton era = CompletedEra(*parsed);
+  EraEmptinessOptions options;
+  options.max_lassos = 300;
+  ExpectProbeMatchesOracle("pump-only contradiction", era, options);
+
+  ControlAlphabet alphabet(era.automaton());
+  Nba nba = BuildSControlNba(era.automaton(), alphabet);
+  EraEmptinessResult result =
+      SearchConsistentLasso(era, alphabet, nba, options);
+  EXPECT_FALSE(result.nonempty);
+  EXPECT_EQ(result.stats.stop_reason, SearchStopReason::kLassoBudget);
+  EXPECT_EQ(result.stats.inconsistent_closures, 300u);
+  EXPECT_EQ(result.stats.closures_built, 300u);
+  EXPECT_EQ(result.stats.closures_extended, 300u);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "service/compiled_spec.h"
 #include "service/request.h"
 #include "service/service.h"
+#include "test_util.h"
 
 namespace rav::service {
 namespace {
@@ -46,33 +47,6 @@ const char kPingPongWithDeadState[] = R"(automaton {
   transition limbo -> ping { }
   constraint eq 1 1 "ping pong ping"
 })";
-
-// An EMPTY spec whose bounded lasso search is combinatorially large (the
-// governor_test BigEmptySpace shape, in text form): a complete digraph
-// on 8 states with both guards per edge and a constraint demanding
-// x1 != x1 on every length-1 factor, so every candidate is inconsistent
-// and the search grinds to its lasso budget. Long enough to be reliably
-// in flight when another thread cancels or trips a budget; always EMPTY.
-std::string BigEmptySpecText() {
-  const int n = 8;
-  std::string spec = "automaton {\n  registers 1\n";
-  std::string any_state;
-  for (int s = 0; s < n; ++s) {
-    spec += "  state q" + std::to_string(s) +
-            (s == 0 ? " initial final\n" : " final\n");
-    any_state += (s > 0 ? "|q" : "q") + std::to_string(s);
-  }
-  for (int s = 0; s < n; ++s) {
-    for (int t = 0; t < n; ++t) {
-      const std::string edge =
-          "  transition q" + std::to_string(s) + " -> q" + std::to_string(t);
-      spec += edge + " { x1 = y1 }\n";
-      spec += edge + " { x1 != y1 }\n";
-    }
-  }
-  spec += "  constraint neq 1 1 \"(" + any_state + ")*\"\n}\n";
-  return spec;
-}
 
 std::string RequestLine(const std::string& body) {
   return "{" + body + "}";
@@ -285,6 +259,31 @@ TEST(ParseRequestTest, RejectionsNameTheField) {
                 .find("threads"), std::string::npos);
 }
 
+// The wire `threads` is range-checked while it is still a double: a cast
+// of 1e10 or of 1e999 (which parses to +inf) to int is undefined, and any
+// value above kMaxRequestThreads would let one request line ask for that
+// many search threads. Only the parser runs here; no search starts.
+TEST(ParseRequestTest, ThreadsIsBoundedBeforeTheCast) {
+  auto parse = [](const std::string& threads) {
+    return ParseRequest(RequestLine(
+        R"("id": "r", "op": "empty", "spec": "x", "threads": )" + threads));
+  };
+  for (const std::string& bad :
+       {std::string("1e10"), std::string("1e999"), std::string("-1e999"),
+        std::string("2.5"), std::string("-1"), std::string("\"4\""),
+        std::to_string(kMaxRequestThreads + 1)}) {
+    Result<QueryRequest> request = parse(bad);
+    ASSERT_FALSE(request.ok()) << bad;
+    EXPECT_NE(request.status().ToString().find("threads"), std::string::npos)
+        << bad;
+  }
+  for (int good : {0, 1, kMaxRequestThreads}) {
+    Result<QueryRequest> request = parse(std::to_string(good));
+    ASSERT_TRUE(request.ok()) << good << ": " << request.status().ToString();
+    EXPECT_EQ(request->threads, good);
+  }
+}
+
 TEST(ParseRequestTest, FailpointRejectsTheRequest) {
   failpoints::Arm("service/parse_request", 1);
   Result<QueryRequest> request =
@@ -481,7 +480,7 @@ TEST(ServiceTest, ResponseJsonLineIsOneParseableLine) {
 // compiled spec) finish with their normal verdicts and no trip.
 TEST(ServiceIsolationTest, OneTrippedRequestLeavesConcurrentOnesUntouched) {
   Service service;
-  const std::string big = BigEmptySpecText();
+  const std::string big = testing::PumpOnlyEmptySpecText();
   // Warm the cache so every thread races on queries, not compiles.
   ASSERT_TRUE(service.Handle(SpecRequest("warm", Op::kInfo, big)).ok);
 
@@ -525,7 +524,7 @@ TEST(ServiceIsolationTest, OneTrippedRequestLeavesConcurrentOnesUntouched) {
 
 TEST(ServiceCancelTest, CancelReachesAnInFlightRequest) {
   Service service;
-  const std::string big = BigEmptySpecText();
+  const std::string big = testing::PumpOnlyEmptySpecText();
   ASSERT_TRUE(service.Handle(SpecRequest("warm", Op::kInfo, big)).ok);
 
   EXPECT_FALSE(service.Cancel("never-started"));
@@ -559,7 +558,7 @@ TEST(ServiceCancelTest, CancelOpReportsWhetherTargetWasInFlight) {
 
 TEST(ServiceTest, DuplicateInFlightIdIsRejected) {
   Service service;
-  const std::string big = BigEmptySpecText();
+  const std::string big = testing::PumpOnlyEmptySpecText();
   ASSERT_TRUE(service.Handle(SpecRequest("warm", Op::kInfo, big)).ok);
 
   QueryResponse slow_response;
@@ -617,7 +616,8 @@ TEST(ServiceUniformErrorsTest, GovernorTripIsStampedWithResourceAndHint) {
   ServiceOptions options;
   options.retry_after_ms_hint = 11;
   Service service(options);
-  QueryRequest tripped = SpecRequest("r1", Op::kEmpty, BigEmptySpecText());
+  QueryRequest tripped =
+      SpecRequest("r1", Op::kEmpty, testing::PumpOnlyEmptySpecText());
   tripped.timeout_ms = 0;  // already expired: trips at the first poll
   QueryResponse response = service.Handle(tripped);
   EXPECT_EQ(response.exit_equivalent, 4);
@@ -636,7 +636,8 @@ TEST(ServiceUniformErrorsTest, GovernorTripIsStampedWithResourceAndHint) {
 
 TEST(ServiceUniformErrorsTest, MemoryTripNamesTheMemoryResource) {
   Service service;
-  QueryRequest tripped = SpecRequest("r1", Op::kEmpty, BigEmptySpecText());
+  QueryRequest tripped =
+      SpecRequest("r1", Op::kEmpty, testing::PumpOnlyEmptySpecText());
   tripped.memory_bytes = 0;  // already exhausted
   QueryResponse response = service.Handle(tripped);
   EXPECT_EQ(response.exit_equivalent, 4);
@@ -658,7 +659,7 @@ TEST(ServiceUniformErrorsTest, BadRequestsAndDuplicatesAreClassified) {
 
   // A deterministic duplicate: hold "dup" in flight, collide, and only
   // then cancel it.
-  const std::string big = BigEmptySpecText();
+  const std::string big = testing::PumpOnlyEmptySpecText();
   ASSERT_TRUE(service.Handle(SpecRequest("warm", Op::kInfo, big)).ok);
   QueryResponse slow_response;
   std::thread runner([&] {

@@ -9,6 +9,7 @@
 
 #include "automata/dfa.h"
 #include "automata/regex.h"
+#include "base/numbers.h"
 #include "era/extended_automaton.h"
 #include "ra/register_automaton.h"
 #include "relational/schema.h"
@@ -90,6 +91,41 @@ inline ExtendedAutomaton MakeAllDistinct() {
                                        /*is_equality=*/false, "q q+");
   RAV_CHECK(s.ok());
   return era;
+}
+
+// An always-EMPTY spec whose bounded search is slow by construction, for
+// tests that need a request reliably in flight: a complete digraph on 8
+// final states whose only guard keeps x1 unchanged, and a constraint
+// demanding x1 != x1 across every factor of exactly 24 positions. No
+// lasso within the default max_lasso_length of 12 holds such a factor as
+// written, so every candidate passes the unpumped probe and is refuted
+// only on its pumped window: each of the 5,000 default candidates pays a
+// full closure (EXPERIMENTS.md E6, BM_EmptinessPumpOnlyContradiction).
+// The factor has a fixed length so that each window carries one
+// inequality per position, not one per pair of positions: the search
+// then takes ~0.3 s in an optimized build and ~12 s under
+// ThreadSanitizer, inside the transport tests' 30 s answer timeout.
+inline std::string PumpOnlyEmptySpecText() {
+  const int n = 8;
+  std::string spec = "automaton {\n  registers 1\n";
+  for (int s = 0; s < n; ++s) {
+    spec += "  state ";
+    spec += NumberedName("q", s);
+    spec += s == 0 ? " initial final\n" : " final\n";
+  }
+  for (int s = 0; s < n; ++s) {
+    for (int t = 0; t < n; ++t) {
+      spec += "  transition ";
+      spec += NumberedName("q", s);
+      spec += " -> ";
+      spec += NumberedName("q", t);
+      spec += " { x1 = y1 }\n";
+    }
+  }
+  spec += "  constraint neq 1 1 \".";
+  for (int i = 1; i < 24; ++i) spec += " .";
+  spec += "\"\n}\n";
+  return spec;
 }
 
 // Success iff `got` and `want` are the same DFA state for state: same

@@ -28,6 +28,7 @@
 #include "service/request.h"
 #include "service/service.h"
 #include "service/transport.h"
+#include "test_util.h"
 
 namespace rav::service {
 namespace {
@@ -43,30 +44,6 @@ const char kPingPong[] = R"(automaton {
   transition pong -> ping { }
   constraint eq 1 1 "ping pong ping"
 })";
-
-// An always-EMPTY spec whose bounded lasso search is combinatorially
-// large — reliably still in flight when a test cancels or disconnects
-// (the service_test.cc BigEmptySpace shape).
-std::string BigEmptySpecText() {
-  const int n = 8;
-  std::string spec = "automaton {\n  registers 1\n";
-  std::string any_state;
-  for (int s = 0; s < n; ++s) {
-    spec += "  state q" + std::to_string(s) +
-            (s == 0 ? " initial final\n" : " final\n");
-    any_state += (s > 0 ? "|q" : "q") + std::to_string(s);
-  }
-  for (int s = 0; s < n; ++s) {
-    for (int t = 0; t < n; ++t) {
-      const std::string edge =
-          "  transition q" + std::to_string(s) + " -> q" + std::to_string(t);
-      spec += edge + " { x1 = y1 }\n";
-      spec += edge + " { x1 != y1 }\n";
-    }
-  }
-  spec += "  constraint neq 1 1 \"(" + any_state + ")*\"\n}\n";
-  return spec;
-}
 
 // JSON-escapes a spec for embedding in a request line.
 std::string JsonEscape(const std::string& text) {
@@ -369,7 +346,7 @@ TEST(SocketTransportTest, ControlOpsAnswerInlineWhileWorkersAreBusy) {
   TransportFixture server{options};
   Client client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(EmptyRequest("blocker", BigEmptySpecText()));
+  client.Send(EmptyRequest("blocker", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
   // The single worker is stuck in `blocker`, yet stats and the cancel
   // that unblocks it are answered from the poll thread.
@@ -404,7 +381,7 @@ TEST(SocketTransportTest, QueueOverflowShedsWithRetryHint) {
   // Fill the pipeline deterministically: `blocker` occupies the single
   // worker (sync on in_flight), `queued` occupies the whole depth-1
   // queue, so `shed` must be rejected at admission.
-  client.Send(EmptyRequest("blocker", BigEmptySpecText()));
+  client.Send(EmptyRequest("blocker", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
   client.Send(EmptyRequest("queued", kPingPong, R"(, "timeout": "10s")"));
   client.Send(EmptyRequest("shed", kPingPong));
@@ -499,7 +476,7 @@ TEST(SocketTransportTest, MidRequestDisconnectCancelsItsInFlightWork) {
   TransportFixture server{options};
   auto victim = std::make_unique<Client>(server.port());
   ASSERT_TRUE(victim->connected());
-  victim->Send(EmptyRequest("doomed", BigEmptySpecText()));
+  victim->Send(EmptyRequest("doomed", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
   // Tear the connection (RST). The transport must cancel `doomed`'s
   // governor — the single worker frees up without anyone asking nicely.
@@ -521,7 +498,7 @@ TEST(SocketTransportTest, DisconnectDoesNotCancelAnotherConnectionsSameId) {
   // Connection A's request is executing on the only worker.
   Client owner(server.port());
   ASSERT_TRUE(owner.connected());
-  owner.Send(EmptyRequest("shared", BigEmptySpecText()));
+  owner.Send(EmptyRequest("shared", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
   // Connection B queues a request with the SAME client-chosen id (ids
   // are only deduped at execution time), then tears its connection.
@@ -529,7 +506,7 @@ TEST(SocketTransportTest, DisconnectDoesNotCancelAnotherConnectionsSameId) {
   // dispatched to a worker *for B* may be cancelled on B's death.
   Client dupe(server.port());
   ASSERT_TRUE(dupe.connected());
-  dupe.Send(EmptyRequest("shared", BigEmptySpecText()));
+  dupe.Send(EmptyRequest("shared", testing::PumpOnlyEmptySpecText()));
   dupe.Abort();
   // A's query runs to its natural (budget-truncated) completion. If B's
   // close had cancelled by id, this answer would instead be a governor
@@ -547,7 +524,7 @@ TEST(SocketTransportTest, IdleReaperExemptsConnectionsWithWorkInFlight) {
   TransportFixture server{options};
   Client client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(EmptyRequest("long", BigEmptySpecText()));
+  client.Send(EmptyRequest("long", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
   // Multiple idle periods pass with no socket traffic while the query
   // runs. The reaper must leave the connection alone — the client is
@@ -600,9 +577,9 @@ TEST(SocketTransportTest, DrainFinishesInFlightRejectsQueuedAndExits5) {
   TransportFixture server{options};
   Client client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(EmptyRequest("inflight", BigEmptySpecText()));
+  client.Send(EmptyRequest("inflight", testing::PumpOnlyEmptySpecText()));
   ASSERT_TRUE(server.WaitForInFlight(1));
-  client.Send(EmptyRequest("queued", BigEmptySpecText()));
+  client.Send(EmptyRequest("queued", testing::PumpOnlyEmptySpecText()));
 
   server.arbiter().RequestDrain();
 

@@ -621,6 +621,8 @@ HOT_PREFIXES = (
     "BM_RealizeWitness/",
     "BM_GuardTablesValidate/",
     "BM_GuardTablesRealize/",
+    "BM_EmptinessShiftRingDrain",
+    "BM_EmptinessPumpOnlyContradiction",
 )
 
 def cpu_times(path):
