@@ -178,7 +178,15 @@ LassoEnumerator::LassoEnumerator(const Nba& nba, size_t max_length,
     : nba_(nba),
       max_length_(max_length),
       max_count_(max_count),
-      max_steps_(max_steps) {}
+      max_steps_(max_steps),
+      visits_(nba.num_states(), 0) {
+  // A zero budget examines nothing, so it can never prove the space
+  // empty: it stops on the count cap before the first step.
+  if (max_count_ == 0) {
+    count_capped_ = true;
+    done_ = true;
+  }
+}
 
 bool LassoEnumerator::EnterNode(int state) {
   if (++steps_ > max_steps_) {
@@ -187,20 +195,23 @@ bool LassoEnumerator::EnterNode(int state) {
     return false;
   }
   // Close the lasso at every earlier occurrence of `state` that has an
-  // accepting state inside the cycle.
-  for (size_t t = 0; t + 1 <= path_states_.size(); ++t) {
-    if (path_states_[t] != state) continue;
-    bool accepting_in_cycle = false;
-    for (size_t p = t; p < path_states_.size(); ++p) {
-      accepting_in_cycle =
-          accepting_in_cycle || nba_.IsAccepting(path_states_[p]);
+  // accepting state inside the cycle. The path is scanned only when
+  // `state` is on it and some accepting state is; the scan stops once no
+  // accepting state lies at or after the current position.
+  if (visits_[state] > 0 && accepting_on_path_ > 0) {
+    int occurrences_left = visits_[state];
+    size_t accepting_left = accepting_on_path_;
+    for (size_t t = 0; occurrences_left > 0 && accepting_left > 0; ++t) {
+      const int s = path_states_[t];
+      if (s == state) {
+        --occurrences_left;
+        LassoWord w;
+        w.prefix.assign(path_symbols_.begin(), path_symbols_.begin() + t);
+        w.cycle.assign(path_symbols_.begin() + t, path_symbols_.end());
+        pending_.push_back(std::move(w));
+      }
+      accepting_left -= nba_.IsAccepting(s);
     }
-    if (!accepting_in_cycle) continue;
-    LassoWord w;
-    w.prefix.assign(path_symbols_.begin(), path_symbols_.begin() + t);
-    w.cycle.assign(path_symbols_.begin() + t, path_symbols_.end());
-    if (w.cycle.empty()) continue;
-    pending_.push_back(std::move(w));
   }
   if (path_symbols_.size() >= max_length_) {
     // Paths cut here could have closed longer lassos: the enumeration is
@@ -213,12 +224,12 @@ bool LassoEnumerator::EnterNode(int state) {
   // whose prefix and cycle visit a state more often is never delivered —
   // so a cut that drops outgoing edges makes the enumeration
   // non-exhaustive.
-  int occurrences = 0;
-  for (int s : path_states_) occurrences += (s == state);
-  if (occurrences >= 3) {
+  if (visits_[state] >= 3) {
     if (!nba_.TransitionsFrom(state).empty()) visit_bounded_ = true;
     return false;
   }
+  ++visits_[state];
+  accepting_on_path_ += nba_.IsAccepting(state);
   path_states_.push_back(state);
   stack_.push_back(Frame{state, 0});
   return true;
@@ -237,8 +248,11 @@ void LassoEnumerator::Step() {
       }
       return;
     }
+    const int state = frame.state;
     stack_.pop_back();
     path_states_.pop_back();
+    --visits_[state];
+    accepting_on_path_ -= nba_.IsAccepting(state);
     // Pop the symbol of the edge that led here (roots have none).
     if (!stack_.empty()) path_symbols_.pop_back();
     return;

@@ -86,7 +86,8 @@ class Nba {
 // `max_steps` bounds the total DFS node expansions (the path space is
 // exponential in max_length; the budget keeps worst cases tractable).
 // Callers that turn "no lasso passed" into a verdict must check `stop()`:
-// only an exhausted space is definitive. The DFS is pull-style, paused
+// only an exhausted space is definitive (a `max_count` of 0 delivers
+// nothing and stops with kMaxCount). The DFS is pull-style, paused
 // between lassos, so a consumer (in particular the parallel lasso-search
 // engine) can drain candidates in batches. Each delivered lasso carries
 // its 0-based enumeration rank; ranks are the deterministic tie-breaker of
@@ -126,6 +127,11 @@ class LassoEnumerator {
   size_t max_steps_;
   std::vector<Frame> stack_;
   std::vector<int> path_states_;
+  // Occurrences of each NBA state on the current path, and how many of
+  // the path's states are accepting: kept in step with path_states_, so
+  // a node entry scans the path only when it can close a lasso.
+  std::vector<int> visits_;
+  size_t accepting_on_path_ = 0;
   std::vector<int> path_symbols_;
   std::vector<LassoWord> pending_;  // closings of the current node, FIFO
   size_t pending_head_ = 0;

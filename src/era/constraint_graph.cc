@@ -410,6 +410,33 @@ void ConstraintClosure::Finalize(ClosureScratch& scratch) {
                     ineq_edges_.end());
 }
 
+size_t ConstraintClosure::ContradictionFloor() const {
+  if (consistent_) return 0;
+  // Constants are the smallest nodes and class ids follow each class's
+  // smallest node, so the classes holding a constant are the ids below
+  // `constant_classes`.
+  int constant_classes = 0;
+  for (int c = 0; c < num_constants_; ++c) {
+    constant_classes = std::max(constant_classes, class_of_node_[c] + 1);
+  }
+  // The window an edge's endpoint needs at least; constants occupy no
+  // position.
+  auto reach = [&](int node, bool holds_constant) -> size_t {
+    if (node < num_constants_) return 0;
+    const size_t pos = static_cast<size_t>((node - num_constants_) / k_);
+    return holds_constant ? pos : pos + 1;
+  };
+  size_t floor = window_;
+  for (const auto& [a, b] : raw_ineq_) {
+    const int cls = class_of_node_[a];
+    if (cls != class_of_node_[b]) continue;
+    const bool holds_constant = cls < constant_classes;
+    floor = std::min(floor, std::max({size_t{1}, reach(a, holds_constant),
+                                      reach(b, holds_constant)}));
+  }
+  return floor;
+}
+
 int ConstraintClosure::ClassOf(int node) const {
   RAV_CHECK_GE(node, 0);
   RAV_CHECK_LT(static_cast<size_t>(node), class_of_node_.size());

@@ -147,6 +147,19 @@ class ConstraintClosure {
   // True iff no forced-equal pair is forced-distinct within the window.
   bool consistent() const { return consistent_; }
 
+  // For an inconsistent closure: a window length (>= 1, <= window())
+  // below which every closure of the same word is consistent, so the
+  // shortest inconsistent window lies in [ContradictionFloor(),
+  // window()]. 0 for a consistent closure. It is the smallest
+  // max(position) + 1 over the inequality edges inside one class, with
+  // the register endpoints of a class that holds a constant counted one
+  // position earlier: each edge of the shortest inconsistent window w
+  // recurs here between the same nodes, except one of w's x̄-restricted
+  // last type, whose class representative in the full type may be the ȳ
+  // node at position w, and then only when that class holds a constant.
+  // Computed on demand, in one pass over the raw inequality edges.
+  size_t ContradictionFloor() const;
+
   // Dense class id of a node (classes canonicalized by smallest node).
   int ClassOf(int node) const;
   int num_classes() const { return num_classes_; }

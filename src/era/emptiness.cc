@@ -1,7 +1,9 @@
 #include "era/emptiness.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "analysis/lint.h"
 #include "base/metrics.h"
@@ -42,6 +44,51 @@ Status RemapLassoWord(LassoWord& word,
   };
   RAV_RETURN_IF_ERROR(remap(word.prefix));
   return remap(word.cycle);
+}
+
+// How many leading symbols of `word` as written (prefix · cycle) agree
+// with `prefix`.
+size_t SharedPrefixLength(const LassoWord& word,
+                          const std::vector<int>& prefix) {
+  size_t i = 0;
+  for (const std::vector<int>* part : {&word.prefix, &word.cycle}) {
+    for (int symbol : *part) {
+      if (i == prefix.size() || symbol != prefix[i]) return i;
+      ++i;
+    }
+  }
+  return i;
+}
+
+// Called once the probe over `lasso` as written came out inconsistent:
+// records in `counters.refuted_prefix` the shortest prefix of that word
+// whose closure is inconsistent. The windows up to `shared` (the symbols
+// the word shares with the previous record, the shortest of its own
+// word) are consistent, and so is every window below the probe's
+// ContradictionFloor(). The bisection between those and the probe
+// tries the floor first, since it is usually exact.
+void RecordRefutedPrefix(const ExtendedAutomaton& era,
+                         const ControlAlphabet& alphabet,
+                         const LassoWord& lasso,
+                         const ConstraintClosure& probe, size_t shared,
+                         const ExecutionGovernor* governor,
+                         LassoWorkerCounters& counters) {
+  size_t hi = probe.window();
+  size_t lo = std::min(hi, std::max(shared + 1, probe.ContradictionFloor()));
+  for (size_t window = lo; lo < hi; window = lo + (hi - lo) / 2) {
+    ++counters.closures_built;
+    ConstraintClosure closure(era, alphabet, lasso, window,
+                              &counters.scratch);
+    ScopedMemoryCharge charge(governor, closure.ApproxBytes());
+    if (closure.consistent()) {
+      lo = window + 1;
+    } else {
+      hi = window;
+    }
+  }
+  std::vector<int>& refuted = counters.refuted_prefix;
+  refuted.clear();
+  for (size_t i = 0; i < hi; ++i) refuted.push_back(lasso.SymbolAt(i));
 }
 
 Status RequireComplete(const RegisterAutomaton& automaton) {
@@ -246,13 +293,22 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
   auto evaluate = [&](const LassoCandidate& candidate,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
+    // A window's constraints are a subset of any longer window's: the
+    // positions before its last carry the same full types, the last
+    // one's x̄-restricted type is implied by its full type, and every
+    // constraint factor inside it lies inside the longer window too. And
+    // a window's closure reads only the word's first `window` symbols.
+    // So a word as written that starts with a prefix this worker has
+    // already refuted is contradictory on its probe and on every pumped
+    // window: one refutation answers the enumerator's whole subtree.
+    const std::vector<int>& refuted = counters.refuted_prefix;
+    const size_t shared = SharedPrefixLength(lasso, refuted);
+    if (!refuted.empty() && shared == refuted.size()) {
+      return LassoVerdict::kInconsistent;
+    }
     // Probe the lasso as written (one pass of its cycle) before pumping
-    // it. A window's constraints are a subset of any longer window's:
-    // the positions before the probe's last carry the same full types,
-    // the last one's x̄-restricted type is implied by its full type, and
-    // every constraint factor inside the probe lies inside the pumped
-    // window too. So a contradiction on the probe is the pumped window's
-    // verdict, and only candidates consistent as written pay the pump.
+    // it: a contradiction on the probe is the pumped window's verdict,
+    // and only candidates consistent as written pay the pump.
     ++counters.closures_built;
     ConstraintClosure closure(era, alphabet, lasso,
                               lasso.prefix.size() + lasso.cycle.size(),
@@ -262,7 +318,11 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
     // candidate is evaluated.
     ScopedMemoryCharge closure_charge(options.governor,
                                       closure.ApproxBytes());
-    if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    if (!closure.consistent()) {
+      RecordRefutedPrefix(era, alphabet, lasso, closure, shared,
+                          options.governor, counters);
+      return LassoVerdict::kInconsistent;
+    }
     if (pump > 1) {
       ++counters.closures_extended;
       closure = closure.ExtendedBy(pump - 1, &counters.scratch);

@@ -306,7 +306,10 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
     }
     for (LassoCandidate& c : staged) shared.queue.push_back(std::move(c));
     RAV_METRIC_RECORD("era/search/queue_depth", shared.queue.size());
-    shared.work_ready.notify_all();
+    // One batch needs one worker, and a worker drains the queue before it
+    // waits again. Waking them all would make the idle ones contend for
+    // `mu` on every push once candidates are cheaper than producing them.
+    shared.work_ready.notify_one();
   }
   {
     std::lock_guard<std::mutex> lock(shared.mu);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "automata/nba.h"
 #include "base/governor.h"
@@ -163,6 +164,10 @@ struct LassoWorkerCounters {
   size_t closures_extended = 0;
   compile::GuardStats guard;  // compiled guard evaluations (witness checks)
   ClosureScratch scratch;
+  // The shortest word prefix this worker has proven contradictory, empty
+  // until the first refutation (the emptiness evaluator's memo; see
+  // SearchConsistentLasso). Lives for one search on one worker.
+  std::vector<int> refuted_prefix;
 };
 
 // Evaluates one candidate. Must be safe to call concurrently from several

@@ -204,6 +204,94 @@ TEST(ClosureDiffTest, InconsistencyPersistsIntoEveryLargerWindow) {
   EXPECT_GT(flips, 0);  // the property was exercised, not vacuous
 }
 
+// The memo of the emptiness search rests on this: a window's closure
+// reads only the word's first `window` symbols, so a contradiction at
+// window w of one word holds, at w and at every larger window, for every
+// word that starts with the same w symbols — up to its probe (the lasso
+// as written) and its pumped window.
+TEST(ClosureDiffTest, ContradictionCarriesOverToWordsSharingThePrefix) {
+  std::mt19937 rng(20261019);
+  ClosureScratch scratch;
+  int carried = 0;  // pairs where the premise held
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    RandomInstance inst = MakeInstance(rng);
+    const size_t shared = std::uniform_int_distribution<size_t>(1, 10)(rng);
+    ConstraintClosure at_shared(inst.era, inst.alphabet, inst.word, shared,
+                                &scratch);
+    if (at_shared.consistent()) continue;
+    // Another word with the same first `shared` symbols and a random
+    // rest, split anywhere into prefix and cycle.
+    std::uniform_int_distribution<int> symbol_dist(
+        0, inst.alphabet.size() - 1);
+    LassoWord other;
+    for (size_t i = 0; i < shared; ++i) {
+      other.prefix.push_back(inst.word.SymbolAt(i));
+    }
+    const int extra = std::uniform_int_distribution<int>(0, 3)(rng);
+    for (int i = 0; i < extra; ++i) other.prefix.push_back(symbol_dist(rng));
+    const size_t split = std::uniform_int_distribution<size_t>(
+        shared, other.prefix.size())(rng);
+    other.cycle.assign(other.prefix.begin() + split, other.prefix.end());
+    other.prefix.resize(split);
+    other.cycle.push_back(symbol_dist(rng));
+    ++carried;
+    const size_t probe = other.prefix.size() + other.cycle.size();
+    for (size_t window = shared; window <= probe; ++window) {
+      ConstraintClosure closure(inst.era, inst.alphabet, other, window,
+                                &scratch);
+      EXPECT_FALSE(closure.consistent())
+          << "iteration " << iteration << ": inconsistent at window "
+          << shared << " of " << inst.word.ToString() << " but consistent at "
+          << window << " of " << other.ToString();
+    }
+    const size_t pumped =
+        other.prefix.size() + other.cycle.size() * SuggestedPumpCount(inst.era);
+    ConstraintClosure at_pumped(inst.era, inst.alphabet, other, pumped,
+                                &scratch);
+    EXPECT_FALSE(at_pumped.consistent())
+        << "iteration " << iteration << ": pumped window " << pumped;
+  }
+  EXPECT_GT(carried, 10);  // the property was exercised, not vacuous
+}
+
+// ContradictionFloor() is a lower bound on the shortest inconsistent
+// window of the closure's word: every window below it is consistent. It
+// is 0 exactly for consistent closures, and both engines compute it alike.
+TEST(ClosureDiffTest, NoWindowBelowTheContradictionFloorIsInconsistent) {
+  std::mt19937 rng(20261020);
+  ClosureScratch scratch;
+  int exact = 0;  // floors that were the shortest inconsistent window
+  int inconsistent = 0;
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    RandomInstance inst = MakeInstance(rng);
+    size_t shortest = 0;
+    for (size_t window = 1; window <= 24; ++window) {
+      ConstraintClosure linear(inst.era, inst.alphabet, inst.word, window,
+                               &scratch, ClosureEngine::kLinear);
+      ConstraintClosure reference = ReferenceConstraintClosure(
+          inst.era, inst.alphabet, inst.word, window, &scratch);
+      EXPECT_EQ(linear.ContradictionFloor(), reference.ContradictionFloor())
+          << "iteration " << iteration << " window " << window;
+      if (linear.consistent()) {
+        EXPECT_EQ(linear.ContradictionFloor(), 0u);
+        continue;
+      }
+      if (shortest == 0) shortest = window;
+      ++inconsistent;
+      const size_t floor = linear.ContradictionFloor();
+      EXPECT_GE(floor, 1u);
+      EXPECT_LE(floor, shortest)
+          << "iteration " << iteration << ": " << inst.word.ToString()
+          << " is inconsistent at window " << shortest
+          << " but the closure at window " << window << " has floor "
+          << floor;
+      exact += floor == shortest;
+    }
+  }
+  EXPECT_GT(inconsistent, 0);
+  EXPECT_GT(exact, inconsistent / 2);  // the floor is usually exact
+}
+
 // kAuto picks the reference restarts below the crossover window and the
 // linear sweep above it, and an auto-picked small closure extended past
 // the crossover re-resolves to the linear engine.

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "era/ltlfo.h"
 #include "era/parallel_search.h"
 #include "io/text_format.h"
+#include "ltl/tableau.h"
 #include "projection/lr_bounded.h"
 #include "ra/transform.h"
 #include "test_util.h"
@@ -220,6 +222,35 @@ TEST(SearchTruncation, LrBoundCarriesStopReason) {
   EXPECT_EQ(result->lassos_examined, 1u);
 }
 
+// A zero lasso budget examines nothing, so it can prove nothing: each
+// procedure must report the budget, never an exhausted space.
+TEST(SearchTruncation, ZeroLassoBudgetIsNotDefinitive) {
+  ExtendedAutomaton era = CompletedEra(testing::MakeExample5());
+  ControlAlphabet alphabet(era.automaton());
+  Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  EraEmptinessOptions options;
+  options.max_lassos = 0;
+  EraEmptinessResult result =
+      SearchConsistentLasso(era, alphabet, scontrol, options);
+  EXPECT_FALSE(result.nonempty);
+  EXPECT_TRUE(result.stats.truncated());
+  EXPECT_TRUE(result.search_truncated);
+  EXPECT_EQ(result.stats.stop_reason, SearchStopReason::kLassoBudget);
+  EXPECT_EQ(result.stats.lassos_checked, 0u);
+}
+
+TEST(SearchTruncation, ZeroLassoBudgetStopsLrBound) {
+  ExtendedAutomaton era = testing::MakeAllDistinct();
+  ControlAlphabet alphabet(era.automaton());
+  LrBoundOptions options;
+  options.max_lassos = 0;
+  auto result = EstimateLrBound(era, alphabet, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->search_truncated);
+  EXPECT_EQ(result->stats.stop_reason, SearchStopReason::kLassoBudget);
+  EXPECT_EQ(result->lassos_examined, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The resumable enumerator (NBA layer).
 
@@ -294,6 +325,21 @@ TEST(LassoEnumerator, ReportsCountCap) {
   EXPECT_EQ(enumerator.stop(), LassoEnumStop::kMaxCount);
 }
 
+TEST(LassoEnumerator, ZeroBudgetStopsOnTheCountCap) {
+  Nba nba(1);
+  int q = nba.AddState();
+  nba.SetInitial(q);
+  nba.SetAccepting(q);
+  nba.AddTransition(q, 0, q);
+  LassoEnumerator enumerator(nba, 10, /*max_count=*/0, 1000);
+  LassoWord word;
+  size_t index;
+  EXPECT_FALSE(enumerator.Next(&word, &index));
+  EXPECT_EQ(enumerator.stop(), LassoEnumStop::kMaxCount);
+  EXPECT_EQ(enumerator.delivered(), 0u);
+  EXPECT_EQ(enumerator.steps(), 0u);
+}
+
 TEST(LassoEnumerator, ReportsLengthClipping) {
   Nba nba(1);
   int q = nba.AddState();
@@ -307,6 +353,261 @@ TEST(LassoEnumerator, ReportsLengthClipping) {
   while (enumerator.Next(&word, &index)) ++count;
   EXPECT_EQ(count, 1u);  // only the length-1 cycle fits
   EXPECT_EQ(enumerator.stop(), LassoEnumStop::kLengthClipped);
+}
+
+// The enumerator's bookkeeping against its oracle. ScanLassoEnumerator
+// is LassoEnumerator as it was before the per-state visit counts: every
+// node entry rescans the whole path, once for earlier occurrences with an
+// accepting state after them and once for the 3-visit prune. Both must
+// deliver the same (word, rank) sequence and end with the same steps,
+// deliveries and stop reason, for any bounds.
+class ScanLassoEnumerator {
+ public:
+  ScanLassoEnumerator(const Nba& nba, size_t max_length, size_t max_count,
+                      size_t max_steps)
+      : nba_(nba),
+        max_length_(max_length),
+        max_count_(max_count),
+        max_steps_(max_steps) {
+    if (max_count_ == 0) {
+      count_capped_ = true;
+      done_ = true;
+    }
+  }
+
+  bool Next(LassoWord* out, size_t* index) {
+    if (delivered_ >= max_count_) return false;
+    while (pending_head_ >= pending_.size() && !done_) Step();
+    if (pending_head_ >= pending_.size()) return false;
+    *out = std::move(pending_[pending_head_++]);
+    *index = delivered_++;
+    if (pending_head_ >= pending_.size()) {
+      pending_.clear();
+      pending_head_ = 0;
+    }
+    if (delivered_ >= max_count_) {
+      if (!(done_ && !steps_capped_ && pending_.empty())) count_capped_ = true;
+      done_ = true;
+    }
+    return true;
+  }
+
+  LassoEnumStop stop() const {
+    if (steps_capped_) return LassoEnumStop::kMaxSteps;
+    if (count_capped_) return LassoEnumStop::kMaxCount;
+    if (length_clipped_) return LassoEnumStop::kLengthClipped;
+    if (visit_bounded_) return LassoEnumStop::kVisitBound;
+    return LassoEnumStop::kExhausted;
+  }
+  size_t delivered() const { return delivered_; }
+  size_t steps() const { return steps_; }
+
+ private:
+  struct Frame {
+    int state;
+    size_t next_edge;
+  };
+
+  bool EnterNode(int state) {
+    if (++steps_ > max_steps_) {
+      steps_capped_ = true;
+      done_ = true;
+      return false;
+    }
+    for (size_t t = 0; t < path_states_.size(); ++t) {
+      if (path_states_[t] != state) continue;
+      bool accepting_in_cycle = false;
+      for (size_t p = t; p < path_states_.size(); ++p) {
+        accepting_in_cycle =
+            accepting_in_cycle || nba_.IsAccepting(path_states_[p]);
+      }
+      if (!accepting_in_cycle) continue;
+      LassoWord w;
+      w.prefix.assign(path_symbols_.begin(), path_symbols_.begin() + t);
+      w.cycle.assign(path_symbols_.begin() + t, path_symbols_.end());
+      pending_.push_back(std::move(w));
+    }
+    if (path_symbols_.size() >= max_length_) {
+      if (!nba_.TransitionsFrom(state).empty()) length_clipped_ = true;
+      return false;
+    }
+    int occurrences = 0;
+    for (int s : path_states_) occurrences += (s == state);
+    if (occurrences >= 3) {
+      if (!nba_.TransitionsFrom(state).empty()) visit_bounded_ = true;
+      return false;
+    }
+    path_states_.push_back(state);
+    stack_.push_back(Frame{state, 0});
+    return true;
+  }
+
+  void Step() {
+    if (!stack_.empty()) {
+      Frame& frame = stack_.back();
+      const auto& edges = nba_.TransitionsFrom(frame.state);
+      if (frame.next_edge < edges.size()) {
+        auto [symbol, to] = edges[frame.next_edge++];
+        path_symbols_.push_back(symbol);
+        if (!EnterNode(to)) {
+          if (done_) return;
+          path_symbols_.pop_back();
+        }
+        return;
+      }
+      stack_.pop_back();
+      path_states_.pop_back();
+      if (!stack_.empty()) path_symbols_.pop_back();
+      return;
+    }
+    if (init_index_ < nba_.initial().size()) {
+      EnterNode(nba_.initial()[init_index_++]);
+      return;
+    }
+    done_ = true;
+  }
+
+  const Nba& nba_;
+  size_t max_length_;
+  size_t max_count_;
+  size_t max_steps_;
+  std::vector<Frame> stack_;
+  std::vector<int> path_states_;
+  std::vector<int> path_symbols_;
+  std::vector<LassoWord> pending_;
+  size_t pending_head_ = 0;
+  size_t init_index_ = 0;
+  size_t delivered_ = 0;
+  size_t steps_ = 0;
+  bool done_ = false;
+  bool steps_capped_ = false;
+  bool count_capped_ = false;
+  bool length_clipped_ = false;
+  bool visit_bounded_ = false;
+};
+
+// Everything an enumeration produced: the (word, rank) sequence and how it
+// ended.
+struct EnumerationTrace {
+  std::vector<std::pair<std::string, size_t>> lassos;
+  size_t steps = 0;
+  size_t delivered = 0;
+  LassoEnumStop stop = LassoEnumStop::kExhausted;
+};
+
+template <typename Enumerator>
+EnumerationTrace Enumerate(const Nba& nba, size_t max_length,
+                           size_t max_count, size_t max_steps) {
+  Enumerator enumerator(nba, max_length, max_count, max_steps);
+  EnumerationTrace trace;
+  LassoWord word;
+  size_t index = 0;
+  while (enumerator.Next(&word, &index)) {
+    trace.lassos.emplace_back(word.ToString(), index);
+  }
+  trace.steps = enumerator.steps();
+  trace.delivered = enumerator.delivered();
+  trace.stop = enumerator.stop();
+  return trace;
+}
+
+// Compares the enumerator with its oracle on `nba` over a grid of small
+// bounds, so every stop reason (and cuts mid-subtree) is exercised.
+void ExpectEnumeratorMatchesScanOracle(const std::string& label,
+                                       const Nba& nba) {
+  for (size_t max_length : {0, 1, 2, 4, 7}) {
+    for (size_t max_count : {0, 1, 5, 300}) {
+      for (size_t max_steps : {1, 9, 60, 4000}) {
+        SCOPED_TRACE(label + " length " + std::to_string(max_length) +
+                     " count " + std::to_string(max_count) + " steps " +
+                     std::to_string(max_steps));
+        const EnumerationTrace got = Enumerate<LassoEnumerator>(
+            nba, max_length, max_count, max_steps);
+        const EnumerationTrace want = Enumerate<ScanLassoEnumerator>(
+            nba, max_length, max_count, max_steps);
+        EXPECT_EQ(got.lassos, want.lassos);
+        EXPECT_EQ(got.steps, want.steps);
+        EXPECT_EQ(got.delivered, want.delivered);
+        EXPECT_EQ(got.stop, want.stop);
+      }
+    }
+  }
+}
+
+// A random NBA: several initial states, self-loops and parallel edges
+// occur, and `accepting` = false leaves every state rejecting.
+Nba RandomNba(std::mt19937& rng, bool accepting) {
+  std::uniform_int_distribution<int> num_states_dist(1, 6);
+  std::uniform_int_distribution<int> alphabet_dist(1, 3);
+  const int num_states = num_states_dist(rng);
+  Nba nba(alphabet_dist(rng));
+  for (int q = 0; q < num_states; ++q) nba.AddState();
+  std::uniform_int_distribution<int> state_dist(0, num_states - 1);
+  std::uniform_int_distribution<int> symbol_dist(0, nba.alphabet_size() - 1);
+  std::bernoulli_distribution coin(0.4);
+  nba.SetInitial(0);
+  if (num_states > 1 && coin(rng)) nba.SetInitial(state_dist(rng));
+  for (int q = 0; q < num_states; ++q) {
+    if (accepting && coin(rng)) nba.SetAccepting(q);
+    if (coin(rng)) nba.AddTransition(q, symbol_dist(rng), q);
+    std::uniform_int_distribution<int> out_degree(0, 3);
+    for (int e = out_degree(rng); e > 0; --e) {
+      nba.AddTransition(q, symbol_dist(rng), state_dist(rng));
+    }
+  }
+  return nba;
+}
+
+TEST(LassoEnumeratorOracle, MatchesScanOracleOnRandomNbas) {
+  std::mt19937 rng(25);
+  for (int i = 0; i < 60; ++i) {
+    for (bool accepting : {true, false}) {
+      ExpectEnumeratorMatchesScanOracle(
+          NumberedName("random nba ", i) + (accepting ? "" : " (no accept)"),
+          RandomNba(rng, accepting));
+    }
+  }
+}
+
+TEST(LassoEnumeratorOracle, MatchesScanOracleOnSControlNbas) {
+  for (const char* dir : {"examples/data", "tests/data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(RAV_SOURCE_DIR) + "/" + dir)) {
+      if (entry.path().extension() != ".rav") continue;
+      std::ifstream in(entry.path());
+      std::ostringstream text;
+      text << in.rdbuf();
+      Result<ExtendedAutomaton> parsed = ParseExtendedAutomaton(text.str());
+      ASSERT_TRUE(parsed.ok()) << entry.path();
+      ExtendedAutomaton era = CompletedEra(*parsed);
+      ControlAlphabet alphabet(era.automaton());
+      ExpectEnumeratorMatchesScanOracle(
+          entry.path().filename().string(),
+          BuildSControlNba(era.automaton(), alphabet));
+    }
+  }
+  for (int k : {2, 3}) {
+    for (int n : {4, 8}) {
+      ExtendedAutomaton era = MakeShiftRingSearchEra(k, n, true);
+      ControlAlphabet alphabet(era.automaton());
+      ExpectEnumeratorMatchesScanOracle(
+          NumberedName("ring k=", k) + NumberedName(" n=", n),
+          BuildSControlNba(era.automaton(), alphabet));
+    }
+  }
+}
+
+TEST(LassoEnumeratorOracle, MatchesScanOracleOnLtlProduct) {
+  // G F p0 × G F p1: a degeneralized product with several accepting
+  // states and edges under every AP valuation.
+  Result<LtlAutomaton> infinitely_p0 = LtlToNba(
+      LtlFormula::Globally(LtlFormula::Eventually(LtlFormula::Ap(0))), 2);
+  Result<LtlAutomaton> infinitely_p1 = LtlToNba(
+      LtlFormula::Globally(LtlFormula::Eventually(LtlFormula::Ap(1))), 2);
+  ASSERT_TRUE(infinitely_p0.ok());
+  ASSERT_TRUE(infinitely_p1.ok());
+  ExpectEnumeratorMatchesScanOracle(
+      "ltl product", infinitely_p0->nba.Intersect(infinitely_p1->nba));
 }
 
 // ---------------------------------------------------------------------------
@@ -441,9 +742,10 @@ TEST(ParallelSearch, StatsToStringMentionsStopReason) {
 // closes each candidate over the lasso as written and grows the closure
 // to the pumped window only when that probe is consistent. The oracle is
 // the evaluator it replaced: one closure at the full pumped window per
-// candidate. A window's constraints are a subset of any longer window's,
-// so both must reach the same verdict on every candidate, and the
-// searches may differ only in how many closures were extended.
+// candidate, and no memo of refuted prefixes. A window's constraints are a
+// subset of any longer window's, so both must reach the same verdict on
+// every candidate, and the searches may differ only in how many closures
+// were built and extended.
 
 EraEmptinessResult SearchWithFullWindowOracle(
     const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
@@ -488,12 +790,16 @@ EraEmptinessResult SearchWithFullWindowOracle(
 // and compares them. A parallel search that finds a witness may evaluate
 // a few candidates past it before they are cancelled (see SearchLassos),
 // so its counters are compared only when they are deterministic: on one
-// worker, or when no witness stopped the search early.
-void ExpectProbeMatchesOracle(const std::string& label,
-                              const ExtendedAutomaton& era,
-                              EraEmptinessOptions options = {}) {
+// worker, or when no witness stopped the search early. closures_built is
+// not compared: the memo of refuted prefixes lowers it, and the prefix
+// search behind a refutation can raise it. Returns the production
+// search's result at 1 worker.
+EraEmptinessResult ExpectProbeMatchesOracle(const std::string& label,
+                                            const ExtendedAutomaton& era,
+                                            EraEmptinessOptions options = {}) {
   ControlAlphabet alphabet(era.automaton());
   Nba nba = BuildSControlNba(era.automaton(), alphabet);
+  EraEmptinessResult serial;
   for (int workers : {1, 4}) {
     SCOPED_TRACE(label + " at " + std::to_string(workers) + " workers");
     options.num_workers = workers;
@@ -501,6 +807,7 @@ void ExpectProbeMatchesOracle(const std::string& label,
         SearchConsistentLasso(era, alphabet, nba, options);
     const EraEmptinessResult want =
         SearchWithFullWindowOracle(era, alphabet, nba, options);
+    if (workers == 1) serial = got;
     EXPECT_EQ(got.nonempty, want.nonempty);
     EXPECT_EQ(got.control_word.prefix, want.control_word.prefix);
     EXPECT_EQ(got.control_word.cycle, want.control_word.cycle);
@@ -508,7 +815,6 @@ void ExpectProbeMatchesOracle(const std::string& label,
     if (workers > 1 && want.nonempty) continue;
     EXPECT_EQ(got.stats.lassos_enumerated, want.stats.lassos_enumerated);
     EXPECT_EQ(got.stats.lassos_checked, want.stats.lassos_checked);
-    EXPECT_EQ(got.stats.closures_built, want.stats.closures_built);
     EXPECT_EQ(got.stats.inconsistent_closures,
               want.stats.inconsistent_closures);
     EXPECT_EQ(got.stats.enumeration_steps, want.stats.enumeration_steps);
@@ -516,6 +822,7 @@ void ExpectProbeMatchesOracle(const std::string& label,
     EXPECT_EQ(got.stats.guard_evals, want.stats.guard_evals);
     EXPECT_EQ(got.stats.guard_batches, want.stats.guard_batches);
   }
+  return serial;
 }
 
 TEST(ProbeThenPump, MatchesOracleOnCommittedSpecs) {
@@ -536,13 +843,17 @@ TEST(ProbeThenPump, MatchesOracleOnCommittedSpecs) {
 
 TEST(ProbeThenPump, MatchesOracleOnShiftRings) {
   // The contradictory rings are the drains the probe exists for: every
-  // candidate is refuted on the lasso as written.
+  // candidate is refuted on the lasso as written, and the enumerator
+  // delivers them subtree by subtree, so one refuted prefix must answer
+  // most of them without a closure.
   for (int k : {2, 3}) {
     for (int n : {4, 8}) {
       const std::string ring =
           NumberedName("ring k=", k) + NumberedName(" n=", n);
-      ExpectProbeMatchesOracle(ring + " contradictory",
-                               MakeShiftRingSearchEra(k, n, true));
+      const EraEmptinessResult drain = ExpectProbeMatchesOracle(
+          ring + " contradictory", MakeShiftRingSearchEra(k, n, true));
+      EXPECT_LT(drain.stats.closures_built, drain.stats.lassos_checked / 2)
+          << ring;
       ExpectProbeMatchesOracle(ring + " live",
                                MakeShiftRingSearchEra(k, n, false));
     }
@@ -614,6 +925,39 @@ TEST(ProbeThenPump, MatchesOracleOnExample8) {
   options.max_lasso_length = 6;
   options.max_lassos = 500;
   ExpectProbeMatchesOracle("example 8", era, options);
+}
+
+// The memo's fixture: from p, one guard leads to a or to b, and only the
+// factor "p a" is contradictory. The DFS delivers the lassos through a
+// first, so the memo holds the refuted prefix (p, g)(a, ·) when the
+// witness (p, g)(b, ·) arrives: the witness shares all of that prefix but
+// its last symbol, and only a prefix recorded in full lets it through.
+TEST(ProbeThenPump, RefutedPrefixSparesASiblingWitness) {
+  Result<ExtendedAutomaton> parsed = ParseExtendedAutomaton(R"(
+automaton {
+  registers 1
+  state p initial final
+  state a
+  state b
+  transition p -> a { x1 = y1 }
+  transition p -> b { x1 = y1 }
+  transition a -> p { x1 = y1 }
+  transition b -> p { x1 = y1 }
+  constraint neq 1 1 "p a"
+}
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ExtendedAutomaton era = CompletedEra(*parsed);
+  const EraEmptinessResult result =
+      ExpectProbeMatchesOracle("sibling witness", era);
+  ASSERT_TRUE(result.nonempty);
+  // Some candidate through a was refuted before the witness was reached.
+  EXPECT_GT(result.stats.inconsistent_closures, 0u);
+  ControlAlphabet alphabet(era.automaton());
+  ASSERT_FALSE(result.control_word.cycle.empty());
+  EXPECT_EQ(era.automaton().state_name(alphabet.state_of(
+                SymbolId(result.control_word.SymbolAt(1)))),
+            "b");
 }
 
 TEST(ProbeThenPump, PumpOnlyContradictionIsRefutedOnThePumpedWindow) {

@@ -9,7 +9,10 @@
 //                                       N > 1 checks candidate lassos on a
 //                                       worker pool (default N = 1, serial:
 //                                       kDefaultSearchWorkers; same
-//                                       verdict/witness). --search-mode
+//                                       verdict/witness; 0 = all hardware
+//                                       threads; at most
+//                                       kMaxRequestThreads = 64).
+//                                       --search-mode
 //                                       partitioned|shared picks the
 //                                       work-sharing engine: partitioned
 //                                       (default) is the deterministic
@@ -28,8 +31,10 @@
 //                                       decision-service requests (the
 //                                       rav_serve wire format; see
 //                                       docs/serving.md) concurrently in
-//                                       one process. Exit 0 if every
-//                                       request was answered ok, 1
+//                                       one process, on N threads (0 = all
+//                                       hardware threads; at most
+//                                       kMaxRequestThreads = 64). Exit 0
+//                                       if every request was answered ok, 1
 //                                       otherwise.
 //   rav_cli lint <file>... [--json|--sarif] [--werror]
 //                                       static analysis (docs/linting.md):
@@ -513,6 +518,11 @@ int RunCommand(const std::vector<std::string>& args) {
         auto threads_arg = ParseIntArg("--threads", argv[++i]);
         if (!threads_arg.ok()) return Fail(threads_arg.status().message());
         if (*threads_arg < 0) return Fail("batch --threads must be >= 0");
+        if (*threads_arg > service::kMaxRequestThreads) {
+          return Fail(NumberedName("batch --threads must be <= ",
+                                   service::kMaxRequestThreads) +
+                      " (kMaxRequestThreads)");
+        }
         threads = *threads_arg == 0
                       ? static_cast<int>(std::thread::hardware_concurrency())
                       : *threads_arg;
@@ -585,6 +595,11 @@ int RunCommand(const std::vector<std::string>& args) {
         auto threads = ParseIntArg("--threads", argv[i + 1]);
         if (!threads.ok()) return Fail(threads.status().message());
         if (*threads < 0) return Fail("empty --threads must be >= 0");
+        if (*threads > service::kMaxRequestThreads) {
+          return Fail(NumberedName("empty --threads must be <= ",
+                                   service::kMaxRequestThreads) +
+                      " (kMaxRequestThreads)");
+        }
         empty_options.num_workers = *threads;
         ++i;
       } else if (std::string(argv[i]) == "--search-mode" && i + 1 < argc) {

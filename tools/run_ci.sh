@@ -31,7 +31,9 @@
 #      — stale docs fail CI instead of rotting
 #  10. perf-regression gate: the hot benchmarks below are compared against
 #      the committed baseline (`git show HEAD:BENCH_RESULTS.json`); a
-#      >RAV_PERF_GATE_RATIO× cpu_ns_per_iter slowdown fails the run
+#      single-worker rung whose closures / enumerated / closure_nodes
+#      counter rises above it fails the run, and so does a
+#      >RAV_PERF_GATE_RATIO× cpu_ns_per_iter slowdown
 #
 # Environment knobs:
 #   RAV_BENCH_MIN_TIME  google-benchmark min time per benchmark, seconds
@@ -42,8 +44,9 @@
 #                       600); a hung bench fails the run instead of
 #                       wedging it
 #   RAV_JOBS            parallel build jobs (default: nproc)
-#   RAV_PERF_GATE       "off" skips the perf-regression gate (noisy or
-#                       shared machines); default "on"
+#   RAV_PERF_GATE       "off" skips the wall-clock half of the
+#                       perf-regression gate (noisy or shared machines;
+#                       the work-counter half still runs); default "on"
 #   RAV_PERF_GATE_RATIO slowdown factor that fails the gate (default 1.3)
 #   RAV_TIDY            "off" skips the clang-tidy gate; default "on"
 #                       (the gate also skips itself with a notice when
@@ -595,19 +598,22 @@ EOF
 [ "$fail" -eq 0 ] || exit 1
 
 echo "== perf-regression gate =="
-# The hot benchmarks below guard the closure engine and the decision
-# procedures built on it. Their cpu_ns_per_iter is compared against the
-# committed baseline (the HEAD version of BENCH_RESULTS.json — the
-# working-tree file was just overwritten by this run). Benchmarks absent
-# from the baseline (new in this change) are skipped.
-if [ "${RAV_PERF_GATE:-on}" = "off" ]; then
-  echo "perf gate skipped (RAV_PERF_GATE=off)"
-elif ! git show HEAD:BENCH_RESULTS.json >build/reports/baseline.json \
+# Two gates over the hot benchmarks below, both against the committed
+# baseline (the HEAD version of BENCH_RESULTS.json — the working-tree file
+# was just overwritten by this run). Benchmarks absent from the baseline
+# (new in this change) are skipped.
+#   - Work counters: a hot rung's `closures`, `enumerated` and, where
+#     present, `closure_nodes` count what its search did, whatever the
+#     machine. On single-worker rungs they are deterministic, so any rise
+#     above the baseline fails. RAV_PERF_GATE=off does not skip this gate.
+#   - Wall clock: cpu_ns_per_iter must stay within RAV_PERF_GATE_RATIO x
+#     the baseline. RAV_PERF_GATE=off skips it on noisy machines.
+if ! git show HEAD:BENCH_RESULTS.json >build/reports/baseline.json \
     2>/dev/null; then
   echo "perf gate skipped (no committed BENCH_RESULTS.json baseline)"
 else
   python3 - "$OUT" build/reports/baseline.json \
-      "${RAV_PERF_GATE_RATIO:-1.3}" <<'EOF'
+      "${RAV_PERF_GATE_RATIO:-1.3}" "${RAV_PERF_GATE:-on}" <<'EOF'
 import json, sys
 
 HOT_PREFIXES = (
@@ -624,8 +630,9 @@ HOT_PREFIXES = (
     "BM_EmptinessShiftRingDrain",
     "BM_EmptinessPumpOnlyContradiction",
 )
+WORK_COUNTERS = ("closures", "enumerated", "closure_nodes")
 
-def cpu_times(path):
+def hot_rungs(path):
     with open(path) as f:
         merged = json.load(f)
     out = {}
@@ -633,30 +640,64 @@ def cpu_times(path):
         for b in report["metrics"]["benchmarks"]:
             name = b["name"]
             if name.startswith(HOT_PREFIXES):
-                out[name] = b["cpu_ns_per_iter"]
+                out[name] = b
     return out
 
-current = cpu_times(sys.argv[1])
-baseline = cpu_times(sys.argv[2])
+current = hot_rungs(sys.argv[1])
+baseline = hot_rungs(sys.argv[2])
 ratio_limit = float(sys.argv[3])
-regressions, compared = [], 0
-for name, base_ns in sorted(baseline.items()):
-    if name not in current or base_ns <= 0:
+wall_clock = sys.argv[4] != "off"
+failed = False
+
+# A rung without a `workers` counter runs on one thread.
+rises, counted = [], 0
+for name, base in sorted(baseline.items()):
+    if name not in current:
         continue
-    compared += 1
-    ratio = current[name] / base_ns
-    if ratio > ratio_limit:
-        regressions.append(f"  {name}: {base_ns:.0f} ns -> "
-                           f"{current[name]:.0f} ns ({ratio:.2f}x)")
-if regressions:
-    print(f"perf gate FAILED (> {ratio_limit}x on {len(regressions)} of "
-          f"{compared} hot benchmarks):", file=sys.stderr)
-    print("\n".join(regressions), file=sys.stderr)
-    print("override on a noisy machine with RAV_PERF_GATE=off",
-          file=sys.stderr)
-    sys.exit(1)
-print(f"perf gate passed: {compared} hot benchmarks within "
-      f"{ratio_limit}x of the committed baseline")
+    was = base.get("counters", {})
+    now = current[name].get("counters", {})
+    if was.get("workers", 1) != 1 or now.get("workers", 1) != 1:
+        continue
+    for key in WORK_COUNTERS:
+        if key not in was or key not in now:
+            continue
+        counted += 1
+        if now[key] > was[key] * (1 + 1e-9):
+            rises.append(f"  {name}: {key} {was[key]:g} -> {now[key]:g}")
+if rises:
+    failed = True
+    print(f"work-counter gate FAILED ({len(rises)} of {counted} counters "
+          f"above the committed baseline):", file=sys.stderr)
+    print("\n".join(rises), file=sys.stderr)
+else:
+    print(f"work-counter gate passed: {counted} counters of single-worker "
+          f"hot benchmarks at or below the committed baseline")
+
+if not wall_clock:
+    print("wall-clock gate skipped (RAV_PERF_GATE=off)")
+else:
+    regressions, compared = [], 0
+    for name, base in sorted(baseline.items()):
+        base_ns = base["cpu_ns_per_iter"]
+        if name not in current or base_ns <= 0:
+            continue
+        compared += 1
+        now_ns = current[name]["cpu_ns_per_iter"]
+        ratio = now_ns / base_ns
+        if ratio > ratio_limit:
+            regressions.append(f"  {name}: {base_ns:.0f} ns -> "
+                               f"{now_ns:.0f} ns ({ratio:.2f}x)")
+    if regressions:
+        failed = True
+        print(f"perf gate FAILED (> {ratio_limit}x on {len(regressions)} of "
+              f"{compared} hot benchmarks):", file=sys.stderr)
+        print("\n".join(regressions), file=sys.stderr)
+        print("override on a noisy machine with RAV_PERF_GATE=off",
+              file=sys.stderr)
+    else:
+        print(f"perf gate passed: {compared} hot benchmarks within "
+              f"{ratio_limit}x of the committed baseline")
+sys.exit(1 if failed else 0)
 EOF
 fi
 
