@@ -15,32 +15,6 @@ LassoWord LassoWord::PumpCycle(size_t times) const {
   return out;
 }
 
-LassoWord LassoWord::Canonicalized() const {
-  RAV_CHECK(!cycle.empty());
-  LassoWord out = *this;
-  // Reduce the cycle to its primitive root: the shortest d dividing the
-  // period with cycle == (cycle[0..d))^{period/d}.
-  for (size_t d = 1; d <= out.cycle.size() / 2; ++d) {
-    if (out.cycle.size() % d != 0) continue;
-    bool periodic = true;
-    for (size_t i = d; i < out.cycle.size() && periodic; ++i) {
-      periodic = out.cycle[i] == out.cycle[i - d];
-    }
-    if (periodic) {
-      out.cycle.resize(d);
-      break;
-    }
-  }
-  // Roll the boundary left: while the prefix ends with the cycle's last
-  // symbol, that symbol can be absorbed by rotating the cycle right.
-  while (!out.prefix.empty() && out.prefix.back() == out.cycle.back()) {
-    out.cycle.pop_back();
-    out.cycle.insert(out.cycle.begin(), out.prefix.back());
-    out.prefix.pop_back();
-  }
-  return out;
-}
-
 std::string LassoWord::ToString() const {
   std::ostringstream out;
   for (int s : prefix) out << s << " ";

@@ -36,12 +36,6 @@ struct LassoWord {
   // ω-word, longer period representation).
   LassoWord PumpCycle(size_t times) const;
 
-  // The canonical decomposition of the same ω-word: the cycle reduced to
-  // its primitive root, then the prefix/cycle boundary rolled as far left
-  // as possible. Two lassos denote the same ω-word iff their canonical
-  // forms are equal — the interning key of the shared-visited search mode.
-  LassoWord Canonicalized() const;
-
   // Positions p ≥ prefix.size() with (p - prefix.size()) % cycle.size()
   // == (q - prefix.size()) % cycle.size() carry the same symbol; this
   // returns the canonical position (< prefix.size() + cycle.size()) of n.

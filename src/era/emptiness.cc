@@ -329,7 +329,7 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
       closure_charge.Add(closure.ApproxBytes());
       if (!closure.consistent()) return LassoVerdict::kInconsistent;
     }
-    if (has_database && options.check_unbounded_adom) {
+    if (has_database) {
       // Example 8 guard: if one more cycle strictly grows the largest
       // clique of G_w, no finite database can support the infinite
       // run; reject the lasso. The wider closure is grown from the base
@@ -337,8 +337,8 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
       ++counters.closures_extended;
       ConstraintClosure wider = closure.ExtendedBy(1, &counters.scratch);
       closure_charge.Add(wider.ApproxBytes());
-      int clique_now = closure.AdomCliqueNumber(options.clique_max_nodes);
-      int clique_wider = wider.AdomCliqueNumber(options.clique_max_nodes);
+      int clique_now = closure.AdomCliqueNumber(kAdomCliqueMaxNodes);
+      int clique_wider = wider.AdomCliqueNumber(kAdomCliqueMaxNodes);
       if (clique_now >= 0 && clique_wider >= 0 &&
           clique_wider > clique_now) {
         RAV_METRIC_COUNT("era/emptiness/clique_rejections", 1);
@@ -362,8 +362,6 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
   search_options.max_lassos = options.max_lassos;
   search_options.max_search_steps = options.max_search_steps;
   search_options.num_workers = options.num_workers;
-  search_options.batch_size = options.batch_size;
-  search_options.mode = options.search_mode;
   search_options.governor = options.governor;
   LassoSearchOutcome outcome = SearchLassos(nba, search_options, evaluate);
 

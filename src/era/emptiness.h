@@ -11,6 +11,12 @@
 
 namespace rav {
 
+// Node cap of the exact clique computation behind the search's Example 8
+// check: with a database, a lasso is rejected when one more cycle of its
+// window grows a strictly larger clique in the adom inequality graph (no
+// finite database can support the run).
+inline constexpr int kAdomCliqueMaxNodes = 64;
+
 // Options of the extended-automaton emptiness search (Corollary 10).
 struct EraEmptinessOptions {
   // Bounded lasso enumeration over the SControl NBA.
@@ -21,23 +27,10 @@ struct EraEmptinessOptions {
   // (SuggestedPumpCount). A lasso already inconsistent as written
   // (prefix + one cycle) is rejected without being pumped.
   size_t pump = 0;
-  // With a database, reject lassos whose adom inequality graph grows a
-  // strictly larger clique when the window is extended by one more cycle
-  // (the Example 8 phenomenon: no finite database can support the run).
-  bool check_unbounded_adom = true;
-  // Node cap for the exact clique computation.
-  int clique_max_nodes = 64;
   // Worker threads for the candidate checks (<= 1 = inline serial, 0 =
   // all hardware threads). Verdict and witness are identical for every
   // setting; only wall time and the checked counts vary.
   int num_workers = kDefaultSearchWorkers;
-  // Candidates handed to the worker queue per producer push.
-  size_t batch_size = 16;
-  // Work-sharing mode of the lasso engine (see SearchMode): kPartitioned
-  // is the deterministic reference; kSharedVisited dedups candidates by
-  // canonical ω-word across workers (same verdict; a witness's word is
-  // reported in canonical form).
-  SearchMode search_mode = SearchMode::kPartitioned;
   // Run analysis::AnalyzeAndStrip first and search the reduced automaton
   // (dead states/transitions and vacuous constraints removed; verdict and
   // witness are unchanged — the witness is remapped back to the caller's

@@ -10,10 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "base/concurrent_set.h"
 #include "base/failpoints.h"
 #include "base/metrics.h"
-#include "base/state_pool.h"
 #include "base/trace.h"
 
 namespace rav {
@@ -22,40 +20,9 @@ namespace {
 
 constexpr size_t kNoWitness = static_cast<size_t>(-1);
 
-// The shared-visited state of one search: canonical ω-word encodings
-// interned in `set` (backed by `pool`), with each record's payload word
-// publishing the evaluated verdict — 0 while pending, verdict + 1 once
-// known, released/acquired so a reader sees a fully evaluated entry.
-struct SharedVisitedContext {
-  StatePool pool;
-  ConcurrentSet set;
-
-  explicit SharedVisitedContext(const ExecutionGovernor* governor)
-      : pool(governor), set(&pool, governor) {}
-};
-
-// LEB128 with zigzag for the symbols, so any int alphabet round-trips.
-void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(v));
-}
-
-uint64_t Zigzag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-// The interning key: lengths then symbols of the canonical decomposition.
-// Self-delimiting, so equal byte strings mean equal ω-words.
-void EncodeLasso(const LassoWord& word, std::vector<uint8_t>& out) {
-  out.clear();
-  AppendVarint(out, word.prefix.size());
-  AppendVarint(out, word.cycle.size());
-  for (int s : word.prefix) AppendVarint(out, Zigzag(s));
-  for (int s : word.cycle) AppendVarint(out, Zigzag(s));
-}
+// Candidates the producer hands to the queue per push, and a worker pops
+// per lock round-trip.
+constexpr size_t kBatchSize = 16;
 
 SearchStopReason FromEnumStop(LassoEnumStop stop) {
   switch (stop) {
@@ -79,45 +46,9 @@ struct WorkerTally {
   size_t checked = 0;
   size_t inconsistent = 0;
   size_t cancelled = 0;
-  size_t visited_hits = 0;  // candidates answered from the visited set
-  uint64_t busy_ns = 0;     // time spent inside the evaluator
+  uint64_t busy_ns = 0;  // time spent inside the evaluator
   LassoWorkerCounters counters;
-  // Shared-visited working state, owned by this worker's thread.
-  StatePool::ThreadCache cache;
-  std::vector<uint8_t> encode_buf;
 };
-
-// Evaluates one candidate, through the visited set when one is active.
-// In shared mode the candidate's word is first replaced by its canonical
-// decomposition (the evaluator's verdict is a function of the ω-word, so
-// this changes nothing but the witness's spelling) and the verdict is
-// published into the interned record's payload word; a candidate whose
-// canonical form was already decided is answered without evaluating. Two
-// workers racing on a fresh entry both evaluate — the pure-function
-// contract makes the double publish idempotent, and not waiting keeps
-// workers off each other's critical paths.
-LassoVerdict EvaluateCandidate(SharedVisitedContext* ctx,
-                               const LassoEvaluator& evaluate,
-                               LassoCandidate& candidate, WorkerTally& tally) {
-  if (ctx == nullptr) return evaluate(candidate, tally.counters);
-  candidate.word = candidate.word.Canonicalized();
-  EncodeLasso(candidate.word, tally.encode_buf);
-  const ConcurrentSet::InternResult interned =
-      ctx->set.Intern(tally.cache, tally.encode_buf.data(),
-                      static_cast<uint32_t>(tally.encode_buf.size()));
-  std::atomic<uint32_t>& payload = ctx->pool.Payload(interned.handle);
-  if (!interned.inserted) {
-    const uint32_t published = payload.load(std::memory_order_acquire);
-    if (published != 0) {
-      ++tally.visited_hits;
-      return static_cast<LassoVerdict>(published - 1);
-    }
-  }
-  const LassoVerdict verdict = evaluate(candidate, tally.counters);
-  payload.store(static_cast<uint32_t>(verdict) + 1,
-                std::memory_order_release);
-  return verdict;
-}
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -130,8 +61,7 @@ uint64_t NowNs() {
 // order — the serial reference path (num_workers <= 1).
 LassoSearchOutcome SearchInline(const Nba& nba,
                                 const LassoSearchOptions& options,
-                                const LassoEvaluator& evaluate,
-                                SharedVisitedContext* ctx) {
+                                const LassoEvaluator& evaluate) {
   LassoSearchOutcome outcome;
   LassoEnumerator enumerator(nba, options.max_lasso_length,
                              options.max_lassos, options.max_search_steps);
@@ -142,7 +72,7 @@ LassoSearchOutcome SearchInline(const Nba& nba,
     trip = GovernorCheck(options.governor);
     if (trip != GovernorTrip::kNone) break;
     ++tally.checked;
-    LassoVerdict verdict = EvaluateCandidate(ctx, evaluate, candidate, tally);
+    LassoVerdict verdict = evaluate(candidate, tally.counters);
     if (verdict == LassoVerdict::kInconsistent) ++tally.inconsistent;
     if (verdict == LassoVerdict::kWitness) {
       outcome.witness = std::move(candidate);
@@ -156,7 +86,6 @@ LassoSearchOutcome SearchInline(const Nba& nba,
   outcome.stats.closures_extended = tally.counters.closures_extended;
   outcome.stats.guard_evals = tally.counters.guard.evals;
   outcome.stats.guard_batches = tally.counters.guard.batches;
-  outcome.stats.visited_hits = tally.visited_hits;
   outcome.stats.enumeration_steps = enumerator.steps();
   outcome.stats.workers = 1;
   // Precedence: a witness found before the trip is still a witness; an
@@ -188,10 +117,9 @@ struct SharedState {
 };
 
 void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
-                const ExecutionGovernor* governor, SharedVisitedContext* ctx,
-                size_t batch, WorkerTally& tally) {
+                const ExecutionGovernor* governor, WorkerTally& tally) {
   std::vector<LassoCandidate> local;
-  local.reserve(batch);
+  local.reserve(kBatchSize);
   for (;;) {
     local.clear();
     {
@@ -203,7 +131,7 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
       // Pop up to a whole batch per lock round-trip; the candidates are
       // then evaluated without touching the mutex (cancellation reads the
       // atomic hint instead).
-      while (local.size() < batch && !shared.queue.empty()) {
+      while (local.size() < kBatchSize && !shared.queue.empty()) {
         local.push_back(std::move(shared.queue.front()));
         shared.queue.pop_front();
       }
@@ -224,8 +152,7 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
       }
       ++tally.checked;
       const uint64_t eval_start = NowNs();
-      LassoVerdict verdict =
-          EvaluateCandidate(ctx, evaluate, candidate, tally);
+      LassoVerdict verdict = evaluate(candidate, tally.counters);
       tally.busy_ns += NowNs() - eval_start;
       if (verdict == LassoVerdict::kInconsistent) ++tally.inconsistent;
       if (verdict == LassoVerdict::kWitness) {
@@ -245,11 +172,10 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
 LassoSearchOutcome SearchParallel(const Nba& nba,
                                   const LassoSearchOptions& options,
                                   const LassoEvaluator& evaluate,
-                                  SharedVisitedContext* ctx, int num_workers) {
+                                  int num_workers) {
   const uint64_t pool_start_ns = NowNs();
   SharedState shared;
-  const size_t batch = options.batch_size > 0 ? options.batch_size : 16;
-  const size_t capacity = batch * static_cast<size_t>(num_workers) * 2;
+  const size_t capacity = kBatchSize * static_cast<size_t>(num_workers) * 2;
 
   std::vector<WorkerTally> tallies(num_workers);
   std::vector<std::thread> workers;
@@ -261,10 +187,10 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
             std::make_error_code(std::errc::resource_unavailable_try_again),
             "injected worker-spawn failure");
       }
-      workers.emplace_back([&shared, &evaluate, &tallies, ctx, batch,
-                            governor = options.governor, w] {
-        WorkerLoop(shared, evaluate, governor, ctx, batch, tallies[w]);
-      });
+      workers.emplace_back(
+          [&shared, &evaluate, &tallies, governor = options.governor, w] {
+            WorkerLoop(shared, evaluate, governor, tallies[w]);
+          });
     } catch (const std::system_error&) {
       // Thread creation failed (resource exhaustion or the injected
       // fault): degrade to however many workers exist rather than
@@ -273,7 +199,7 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
       break;
     }
   }
-  if (workers.empty()) return SearchInline(nba, options, evaluate, ctx);
+  if (workers.empty()) return SearchInline(nba, options, evaluate);
   num_workers = static_cast<int>(workers.size());
 
   // The calling thread is the producer: it drains the enumerator in
@@ -282,7 +208,7 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
   LassoEnumerator enumerator(nba, options.max_lasso_length,
                              options.max_lassos, options.max_search_steps);
   std::vector<LassoCandidate> staged;
-  staged.reserve(batch);
+  staged.reserve(kBatchSize);
   bool witness_seen = false;
   while (!witness_seen) {
     // One governor poll per batch: a trip stops production, and the
@@ -290,7 +216,7 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
     if (GovernorCheck(options.governor) != GovernorTrip::kNone) break;
     staged.clear();
     LassoCandidate candidate;
-    while (staged.size() < batch &&
+    while (staged.size() < kBatchSize &&
            enumerator.Next(&candidate.word, &candidate.index)) {
       staged.push_back(std::move(candidate));
     }
@@ -331,7 +257,6 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
     outcome.stats.closures_extended += tally.counters.closures_extended;
     outcome.stats.guard_evals += tally.counters.guard.evals;
     outcome.stats.guard_batches += tally.counters.guard.batches;
-    outcome.stats.visited_hits += tally.visited_hits;
     RAV_METRIC_COUNT("era/search/candidates_cancelled", tally.cancelled);
     RAV_METRIC_COUNT("era/search/worker_busy_ns", tally.busy_ns);
     // Fraction of the pool's lifetime each worker spent evaluating.
@@ -370,24 +295,6 @@ SearchStopReason StopReasonOfTrip(GovernorTrip trip) {
   return SearchStopReason::kExhausted;
 }
 
-const char* SearchModeName(SearchMode mode) {
-  switch (mode) {
-    case SearchMode::kPartitioned:
-      return "partitioned";
-    case SearchMode::kSharedVisited:
-      return "shared";
-  }
-  return "unknown";
-}
-
-std::optional<SearchMode> ParseSearchMode(std::string_view name) {
-  if (name == "partitioned") return SearchMode::kPartitioned;
-  if (name == "shared" || name == "shared-visited") {
-    return SearchMode::kSharedVisited;
-  }
-  return std::nullopt;
-}
-
 const char* SearchStopReasonName(SearchStopReason reason) {
   switch (reason) {
     case SearchStopReason::kWitnessFound:
@@ -421,15 +328,8 @@ std::string SearchStats::ToString() const {
       << " inconsistent=" << inconsistent_closures
       << " steps=" << enumeration_steps << " workers=" << workers
       << " wall_ms=" << wall_seconds * 1e3;
-  // Partitioned output is unchanged; the shared-mode fields only appear
-  // when they can be nonzero.
-  if (mode == SearchMode::kSharedVisited) {
-    out << " mode=" << SearchModeName(mode) << " visited_hits=" << visited_hits
-        << " visited_entries=" << visited_entries
-        << " pool_bytes=" << pool_bytes;
-  }
-  // Likewise the compiled-guard fields: absent when the search carried no
-  // guard tables (a bare SearchLassos over an NBA).
+  // The compiled-guard fields are absent when the search carried no guard
+  // tables (a bare SearchLassos over an NBA).
   if (guard_evals > 0 || guard_table_bytes > 0) {
     out << " guard_evals=" << guard_evals
         << " guard_batches=" << guard_batches
@@ -447,28 +347,9 @@ LassoSearchOutcome SearchLassos(const Nba& nba,
   if (num_workers == 0) {
     num_workers = static_cast<int>(std::thread::hardware_concurrency());
   }
-  // The visited set lives for exactly one search: the governor is charged
-  // for its pool and table while the search runs and released here, so a
-  // memory budget bounds the search's own high-water mark.
-  std::optional<SharedVisitedContext> visited;
-  if (options.mode == SearchMode::kSharedVisited) {
-    visited.emplace(options.governor);
-  }
-  SharedVisitedContext* ctx = visited.has_value() ? &*visited : nullptr;
   LassoSearchOutcome outcome =
-      num_workers <= 1
-          ? SearchInline(nba, options, evaluate, ctx)
-          : SearchParallel(nba, options, evaluate, ctx, num_workers);
-  outcome.stats.mode = options.mode;
-  if (ctx != nullptr) {
-    outcome.stats.visited_entries = ctx->set.size();
-    outcome.stats.pool_bytes = ctx->pool.bytes_reserved() +
-                               ctx->set.bytes_reserved();
-    RAV_METRIC_COUNT("era/search/visited_hits", outcome.stats.visited_hits);
-    RAV_METRIC_SET("era/search/visited_entries",
-                   outcome.stats.visited_entries);
-    RAV_METRIC_SET("era/search/pool_bytes", outcome.stats.pool_bytes);
-  }
+      num_workers <= 1 ? SearchInline(nba, options, evaluate)
+                       : SearchParallel(nba, options, evaluate, num_workers);
   outcome.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -4,7 +4,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "automata/nba.h"
@@ -13,32 +12,6 @@
 #include "era/constraint_graph.h"
 
 namespace rav {
-
-// How candidate work is divided among search workers.
-//
-// kPartitioned is the reference engine: candidates are dealt to workers
-// by enumeration rank and every worker evaluates its own candidates from
-// scratch. Verdict, witness, and stop reason are byte-identical to the
-// serial search for any worker count.
-//
-// kSharedVisited adds a process-wide visited set: each candidate is
-// reduced to the canonical decomposition of its ω-word (primitive cycle,
-// minimal prefix — see LassoWord::Canonicalized), interned into a pooled
-// concurrent hash set, and evaluated at most once; every later candidate
-// denoting the same ω-word reuses the published verdict, so one worker's
-// dead subspace is every worker's dead subspace. Verdict and stop reason
-// still match the partitioned engine (the evaluator's verdict is a
-// function of the ω-word, and the first witness by rank still wins), but
-// a witness's word is reported in canonical form rather than in whichever
-// decomposition the enumerator happened to deliver first.
-enum class SearchMode {
-  kPartitioned = 0,
-  kSharedVisited = 1,
-};
-
-// Stable name ("partitioned", "shared") / its inverse (nullopt on junk).
-const char* SearchModeName(SearchMode mode);
-std::optional<SearchMode> ParseSearchMode(std::string_view name);
 
 // The default worker count of every search-backed procedure (emptiness,
 // LTL-FO verification, LR-boundedness) and of the CLI/service `threads`
@@ -81,11 +54,6 @@ struct SearchStats {
   int workers = 1;                 // worker threads that evaluated lassos
   double wall_seconds = 0.0;
   SearchStopReason stop_reason = SearchStopReason::kExhausted;
-  SearchMode mode = SearchMode::kPartitioned;
-  // Shared-visited instrumentation (all zero in partitioned mode).
-  size_t visited_hits = 0;     // candidates answered from the visited set
-  size_t visited_entries = 0;  // distinct canonical ω-words interned
-  size_t pool_bytes = 0;       // governor-accounted set + pool bytes
   // Compiled-guard instrumentation (era/guard/* metrics).
   size_t guard_evals = 0;       // valuations decided through compiled tables
   size_t guard_batches = 0;     // SoA EvalBatch passes
@@ -132,13 +100,6 @@ struct LassoSearchOptions {
   // Worker threads evaluating candidates. <= 1 runs inline on the calling
   // thread (no thread is spawned); 0 means "all hardware threads".
   int num_workers = kDefaultSearchWorkers;
-  // Work-sharing mode; see SearchMode. kSharedVisited requires the
-  // evaluator's verdict to be a function of the candidate's ω-word alone
-  // (all in-tree evaluators are), since verdicts are reused across
-  // decompositions of the same word.
-  SearchMode mode = SearchMode::kPartitioned;
-  // Candidates handed to the queue per producer push.
-  size_t batch_size = 16;
   // Resource governor (nullptr = unlimited). Polled at the engine's safe
   // points — once per candidate on the inline path, per batch on the
   // producer, per candidate on every worker — so a trip stops the search
@@ -176,10 +137,11 @@ struct LassoWorkerCounters {
 using LassoEvaluator =
     std::function<LassoVerdict(const LassoCandidate&, LassoWorkerCounters&)>;
 
-// The shared lasso-search engine behind Corollary 10 emptiness, Theorem 12
+// The lasso-search engine behind Corollary 10 emptiness, Theorem 12
 // verification, and the Theorem 18 LR-boundedness sampler: enumerates the
 // accepting lassos of `nba` (single-threaded, deterministic order) and
-// feeds them to `evaluate` on a pool of `num_workers` threads. The first
+// feeds them, in rank-ordered batches, to `evaluate` on a pool of
+// `num_workers` threads. The first
 // witness wins, with deterministic tie-breaking: after any witness is
 // found, candidates of higher rank are cancelled, candidates of lower rank
 // still complete, and the lowest-rank witness is returned — so verdict and

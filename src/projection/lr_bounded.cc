@@ -134,56 +134,23 @@ int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure) {
   return best;
 }
 
-Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
-                                      const ControlAlphabet& alphabet,
-                                      const LrBoundOptions& options) {
-  RAV_RETURN_IF_ERROR(RequireNoDatabase(era));
-  if (options.analyze_and_strip) {
-    const analysis::StripEffort effort =
-        era.automaton().num_transitions() >= options.min_flow_strip_transitions
-            ? analysis::StripEffort::kFlow
-            : analysis::StripEffort::kFast;
-    analysis::StripResult stripped =
-        analysis::AnalyzeAndStrip(era, effort, options.governor);
-    if (stripped.changed()) {
-      RAV_METRIC_COUNT("projection/lr_bounded/strips", 1);
-      ControlAlphabet stripped_alphabet(stripped.era->automaton());
-      LrBoundOptions inner = options;
-      inner.analyze_and_strip = false;
-      // Pin the automatic window sizes to the original constraint list
-      // (stripping may drop its largest DFA, and the estimate must be
-      // identical with and without stripping).
-      if (inner.pump_small == 0) {
-        inner.pump_small =
-            2 * static_cast<size_t>(era.MaxConstraintDfaStates()) + 2;
-      }
-      if (inner.pump_large == 0) inner.pump_large = 2 * inner.pump_small;
-      return EstimateLrBound(*stripped.era, stripped_alphabet, inner);
-    }
-  }
-  return EstimateLrBound(era, alphabet,
-                         BuildSControlNba(era.automaton(), alphabet), options);
+namespace {
+
+// The smaller growth-detection window, in cycle pumps: every constraint's
+// span fits into it. The larger window is twice as many.
+size_t SmallWindowPumps(const ExtendedAutomaton& era) {
+  return 2 * static_cast<size_t>(era.MaxConstraintDfaStates()) + 2;
 }
 
-Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
-                                      const ControlAlphabet& alphabet,
-                                      const Nba& scontrol,
-                                      const LrBoundOptions& options) {
+Result<LrBoundResult> SampleLrBound(const ExtendedAutomaton& era,
+                                    const ControlAlphabet& alphabet,
+                                    const Nba& scontrol,
+                                    const LrBoundOptions& options,
+                                    size_t pump_small) {
   RAV_TRACE_SPAN("projection/lr_bounded");
   RAV_METRIC_COUNT("projection/lr_bounded/estimations", 1);
   RAV_RETURN_IF_ERROR(RequireNoDatabase(era));
-
-  // Auto-scale the windows so that every constraint's span fits into the
-  // smaller one (otherwise truncated edges masquerade as growth).
-  size_t pump_small = options.pump_small;
-  size_t pump_large = options.pump_large;
-  if (pump_small == 0) {
-    pump_small = 2 * static_cast<size_t>(era.MaxConstraintDfaStates()) + 2;
-  }
-  if (pump_large == 0) pump_large = 2 * pump_small;
-  // Growth detection compares a window against a larger one; a smaller
-  // "large" pump would measure nothing.
-  if (pump_large < pump_small) pump_large = pump_small;
+  const size_t pump_large = 2 * pump_small;
 
   // Per-lasso cover measurement, run on the engine's workers. The
   // aggregation (max over covers, or over growth flags) is commutative and
@@ -222,8 +189,6 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
   search_options.max_lassos = options.max_lassos;
   search_options.max_search_steps = options.max_search_steps;
   search_options.num_workers = options.num_workers;
-  search_options.batch_size = options.batch_size;
-  search_options.mode = options.search_mode;
   search_options.governor = options.governor;
   LassoSearchOutcome outcome =
       SearchLassos(scontrol, search_options, evaluate);
@@ -244,6 +209,43 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
   }
   result.search_truncated = outcome.stats.truncated();
   return result;
+}
+
+}  // namespace
+
+Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
+                                      const ControlAlphabet& alphabet,
+                                      const LrBoundOptions& options) {
+  RAV_RETURN_IF_ERROR(RequireNoDatabase(era));
+  if (options.analyze_and_strip) {
+    const analysis::StripEffort effort =
+        era.automaton().num_transitions() >= options.min_flow_strip_transitions
+            ? analysis::StripEffort::kFlow
+            : analysis::StripEffort::kFast;
+    analysis::StripResult stripped =
+        analysis::AnalyzeAndStrip(era, effort, options.governor);
+    if (stripped.changed()) {
+      RAV_METRIC_COUNT("projection/lr_bounded/strips", 1);
+      ControlAlphabet stripped_alphabet(stripped.era->automaton());
+      // Pin the windows to the original constraint list (stripping may
+      // drop its largest DFA, and the estimate must be identical with and
+      // without stripping).
+      return SampleLrBound(
+          *stripped.era, stripped_alphabet,
+          BuildSControlNba(stripped.era->automaton(), stripped_alphabet),
+          options, SmallWindowPumps(era));
+    }
+  }
+  return EstimateLrBound(era, alphabet,
+                         BuildSControlNba(era.automaton(), alphabet), options);
+}
+
+Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
+                                      const ControlAlphabet& alphabet,
+                                      const Nba& scontrol,
+                                      const LrBoundOptions& options) {
+  return SampleLrBound(era, alphabet, scontrol, options,
+                       SmallWindowPumps(era));
 }
 
 }  // namespace rav

@@ -29,22 +29,10 @@ struct LrBoundOptions {
   size_t max_lassos = 64;
   size_t max_lasso_length = 8;
   size_t max_search_steps = 200000;
-  // Window sizes (in cycle pumps) compared for growth detection; 0 = auto
-  // (scaled to twice the largest constraint DFA so that every constraint
-  // span fits inside the smaller window).
-  size_t pump_small = 0;
-  size_t pump_large = 0;
   // Worker threads measuring lasso covers (<= 1 = inline serial, 0 = all
   // hardware threads). The per-lasso aggregation (max / or) is
   // commutative, so the result is identical for every setting.
   int num_workers = kDefaultSearchWorkers;
-  size_t batch_size = 16;
-  // Work-sharing mode of the sampler (see SearchMode). kSharedVisited
-  // measures each distinct ω-word once, at its canonical decomposition;
-  // because measurement windows scale with the cycle length, the sampled
-  // aggregates can differ slightly from partitioned mode, which measures
-  // duplicate decompositions at their delivered (pumped) cycles.
-  SearchMode search_mode = SearchMode::kPartitioned;
   // Run analysis::AnalyzeAndStrip first and sample the reduced automaton.
   // Dead structure carries no control lassos, so the estimate is
   // unchanged; the sampler just stops wading through it.
@@ -76,7 +64,10 @@ struct LrBoundResult {
 };
 
 // Samples control lassos of the automaton (consistent ones only) and
-// measures G^w_h vertex covers. Requires no database (empty relational
+// measures G^w_h vertex covers. Growth detection compares each lasso's
+// cover at two windows: 2·max|Q_dfa| + 2 cycle pumps, so that every
+// constraint span fits inside it (otherwise truncated edges masquerade as
+// growth), and twice that. Requires no database (empty relational
 // signature), matching Section 5's setting. Strips `era` when
 // options.analyze_and_strip asks, builds the SControl NBA of what
 // remains, and samples through the overload below.

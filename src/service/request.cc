@@ -165,18 +165,6 @@ Result<QueryRequest> ParseRequest(const std::string& line) {
     request.threads = static_cast<int>(value);
   }
 
-  RAV_ASSIGN_OR_RETURN(std::string mode_name,
-                       OptionalString(object, "search_mode"));
-  if (!mode_name.empty()) {
-    std::optional<SearchMode> mode = ParseSearchMode(mode_name);
-    if (!mode.has_value()) {
-      return Status::InvalidArgument(
-          "search_mode: unknown mode '" + mode_name +
-          "' — valid modes: partitioned, shared");
-    }
-    request.search_mode = *mode;
-  }
-
   return request;
 }
 

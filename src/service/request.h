@@ -61,8 +61,6 @@ struct QueryRequest {
   // Lasso-check workers (as rav_cli --threads), at most
   // kMaxRequestThreads.
   int threads = kDefaultSearchWorkers;
-  // Lasso-engine work sharing (as rav_cli --search-mode).
-  SearchMode search_mode = SearchMode::kPartitioned;
 };
 
 // Parses and validates one wire line. Every rejection is an

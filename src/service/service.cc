@@ -220,8 +220,6 @@ QueryResponse Service::Handle(const QueryRequest& request) {
   report.params.Set("memory_bytes",
                     Json::Number(static_cast<int64_t>(request.memory_bytes)));
   report.params.Set("threads", Json::Number(request.threads));
-  report.params.Set("search_mode",
-                    Json::String(SearchModeName(request.search_mode)));
   report.params.Set("exit_equivalent", Json::Number(response.exit_equivalent));
   if (!response.error_kind.empty()) {
     report.params.Set("error_kind", Json::String(response.error_kind));
@@ -329,7 +327,6 @@ QueryResponse Service::Execute(const QueryRequest& request) {
     case Op::kEmpty: {
       EraEmptinessOptions options;
       options.num_workers = request.threads;
-      options.search_mode = request.search_mode;
       options.analyze_and_strip = false;  // compiled away in CompiledSpec
       options.governor = governor.get();
       bool built = false;
@@ -368,7 +365,6 @@ QueryResponse Service::Execute(const QueryRequest& request) {
       VerificationOptions options;
       options.analyze_and_strip = false;
       options.emptiness.num_workers = request.threads;
-      options.emptiness.search_mode = request.search_mode;
       options.emptiness.governor = governor.get();
       auto result =
           VerifyLtlFo(spec->analysis_subject(), *property, options);
@@ -400,7 +396,6 @@ QueryResponse Service::Execute(const QueryRequest& request) {
     case Op::kLrBound: {
       LrBoundOptions options;
       options.num_workers = request.threads;
-      options.search_mode = request.search_mode;
       options.analyze_and_strip = false;
       options.governor = governor.get();
       bool built = false;

@@ -28,6 +28,16 @@
 //   4. a rejected line's parse_error response is one line of valid JSON
 //      that echoes the line's string "id", when it has one.
 //
+// Request streams (mutated request lines joined with '\n', with empty and
+// over-long lines mixed in and the final newline sometimes dropped), read
+// by service::ReadBoundedLine at a random max_bytes in [1, 512], must
+// match a split of the stream on '\n':
+//
+//   1. every kOk line equals its piece and is at most max_bytes long;
+//   2. every longer piece reads as exactly one kTooLarge, and the next
+//      read resumes at the following line;
+//   3. the stream ends with kEof.
+//
 // See docs/robustness.md for the frontier's scope and how to run the
 // coverage-guided variant.
 
@@ -47,6 +57,7 @@
 #include "io/text_format.h"
 #include "service/request.h"
 #include "service/service.h"
+#include "service/transport.h"
 #include "test_util.h"
 
 namespace rav {
@@ -213,8 +224,7 @@ std::vector<std::string> LoadRequestSeeds() {
             {"spec", spec},
             {"timeout", Json::String("250ms")},
             {"memory_limit", Json::String("64k")},
-            {"threads", Json::Number(2)},
-            {"search_mode", Json::String("shared")}}),
+            {"threads", Json::Number(2)}}),
       line({{"id", Json::String("v1")},
             {"op", Json::String("verify")},
             {"spec", spec},
@@ -342,6 +352,84 @@ TEST(FuzzSmoke, RequestLinesNeverCrashTheWireParsers) {
   // accepting paths stay exercised.
   EXPECT_GT(requests_accepted, num_inputs / 40);
   EXPECT_GT(json_accepted, requests_accepted);
+}
+
+// One stream for ReadBoundedLine: one to eight lines, each a mutated
+// request line (which may itself hold newlines), an empty line, or a line
+// of random non-newline bytes longer than `max_bytes`.
+std::string BoundedLineStream(FuzzDriver& driver, std::mt19937& rng,
+                              size_t max_bytes) {
+  std::string stream;
+  const int lines = 1 + static_cast<int>(rng() % 8);
+  for (int i = 0; i < lines; ++i) {
+    switch (rng() % 6) {
+      case 0:
+        break;  // an empty line
+      case 1:
+        for (size_t n = max_bytes + 1 + rng() % 256; n > 0; --n) {
+          const char c = static_cast<char>(rng() % 256);
+          stream += c == '\n' ? ' ' : c;
+        }
+        break;
+      default:
+        stream += driver.Next();
+    }
+    stream += '\n';
+  }
+  if (rng() % 3 == 0) stream.pop_back();  // drop the final newline
+  return stream;
+}
+
+// The reference reader: the stream's lines, split on '\n'. A final
+// newline ends the last line rather than starting an empty one.
+std::vector<std::string> SplitLines(const std::string& stream) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < stream.size()) {
+    const size_t end = stream.find('\n', start);
+    if (end == std::string::npos) {
+      lines.push_back(stream.substr(start));
+      break;
+    }
+    lines.push_back(stream.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+TEST(FuzzSmoke, BoundedLineReaderMatchesASplitOnNewlines) {
+  const int num_streams = NumInputs();
+  FuzzDriver driver(Corpus{LoadRequestSeeds(), kJsonTokens}, 45);
+  std::mt19937 rng(46);
+  size_t ok_lines = 0;
+  size_t too_large_lines = 0;
+  for (int i = 0; i < num_streams; ++i) {
+    const size_t max_bytes = 1 + rng() % 512;
+    const std::string stream = BoundedLineStream(driver, rng, max_bytes);
+    std::istringstream in(stream);
+    std::string line;
+    for (const std::string& piece : SplitLines(stream)) {
+      const service::ReadLineStatus status =
+          service::ReadBoundedLine(in, &line, max_bytes);
+      if (piece.size() <= max_bytes) {
+        ++ok_lines;
+        ASSERT_EQ(status, service::ReadLineStatus::kOk)
+            << "max_bytes " << max_bytes << ", stream\n" << stream;
+        ASSERT_EQ(line, piece) << "max_bytes " << max_bytes;
+      } else {
+        ++too_large_lines;
+        ASSERT_EQ(status, service::ReadLineStatus::kTooLarge)
+            << "max_bytes " << max_bytes << ", stream\n" << stream;
+        ASSERT_TRUE(line.empty()) << "the discarded prefix leaked back";
+      }
+    }
+    ASSERT_EQ(service::ReadBoundedLine(in, &line, max_bytes),
+              service::ReadLineStatus::kEof)
+        << "max_bytes " << max_bytes << ", stream\n" << stream;
+  }
+  // Both outcomes stay exercised.
+  EXPECT_GT(ok_lines, static_cast<size_t>(num_streams));
+  EXPECT_GT(too_large_lines, static_cast<size_t>(num_streams) / 10);
 }
 
 // The parser's own fault-injection site must not leak into ordinary runs:

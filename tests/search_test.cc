@@ -761,11 +761,11 @@ EraEmptinessResult SearchWithFullWindowOracle(
                               lasso.prefix.size() + lasso.cycle.size() * pump,
                               &counters.scratch);
     if (!closure.consistent()) return LassoVerdict::kInconsistent;
-    if (has_database && options.check_unbounded_adom) {
+    if (has_database) {
       ++counters.closures_extended;
       ConstraintClosure wider = closure.ExtendedBy(1, &counters.scratch);
-      const int now = closure.AdomCliqueNumber(options.clique_max_nodes);
-      const int next = wider.AdomCliqueNumber(options.clique_max_nodes);
+      const int now = closure.AdomCliqueNumber(kAdomCliqueMaxNodes);
+      const int next = wider.AdomCliqueNumber(kAdomCliqueMaxNodes);
       if (now >= 0 && next >= 0 && next > now) return LassoVerdict::kReject;
     }
     Result<RunWitness> witness =
@@ -777,7 +777,6 @@ EraEmptinessResult SearchWithFullWindowOracle(
   search.max_lassos = options.max_lassos;
   search.max_search_steps = options.max_search_steps;
   search.num_workers = options.num_workers;
-  search.batch_size = options.batch_size;
   LassoSearchOutcome outcome = SearchLassos(nba, search, evaluate);
   EraEmptinessResult result;
   result.nonempty = outcome.witness.has_value();

@@ -209,11 +209,14 @@ TEST(SpecCacheTest, EvictsLeastRecentlyUsed) {
 
 // --- request parsing ---
 
+// Fields the request table of docs/serving.md does not list are ignored,
+// whatever their value: the retired "search_mode" among them.
 TEST(ParseRequestTest, ParsesFullRequest) {
   auto request = ParseRequest(RequestLine(
       R"("id": "r1", "op": "verify", "spec": "automaton {}",
          "ltl": "G p0", "propositions": ["x1=y1"],
-         "timeout": "250ms", "memory_limit": "64k", "threads": 2)"));
+         "timeout": "250ms", "memory_limit": "64k", "threads": 2,
+         "search_mode": "shared", "not_a_field": [1, {"x": null}])"));
   ASSERT_TRUE(request.ok()) << request.status().ToString();
   EXPECT_EQ(request->id, "r1");
   EXPECT_EQ(request->op, Op::kVerify);
@@ -701,10 +704,6 @@ void ExpectSameStats(const SearchStats& got, const SearchStats& want) {
   EXPECT_EQ(got.inconsistent_closures, want.inconsistent_closures);
   EXPECT_EQ(got.enumeration_steps, want.enumeration_steps);
   EXPECT_EQ(got.workers, want.workers);
-  EXPECT_EQ(got.mode, want.mode);
-  EXPECT_EQ(got.visited_hits, want.visited_hits);
-  EXPECT_EQ(got.visited_entries, want.visited_entries);
-  EXPECT_EQ(got.pool_bytes, want.pool_bytes);
   EXPECT_EQ(got.guard_evals, want.guard_evals);
   EXPECT_EQ(got.guard_batches, want.guard_batches);
   EXPECT_EQ(got.guard_table_bytes, want.guard_table_bytes);

@@ -1,223 +1,26 @@
-// Tests of the shared-memory search mode (docs/search.md): the pooled
-// state store and sharded interning set it is built on, the canonical
-// lasso decomposition used as the interning key, the randomized
-// differential against the partitioned reference engine (verdict, stop
-// reason, witness validity), shared-mode determinism across worker
-// counts, dedup effectiveness, and a governor memory-budget trip charged
-// through the visited set.
+// The lasso-search engine's worker-count differential (docs/search.md):
+// random complete ERAs are searched on one worker and on two, three and
+// four, and every multi-worker search must reproduce the serial one —
+// verdict, stop reason, truncation and witness spelling, plus the
+// enumeration counters of every search that drained without a witness.
+// Every witness must realize as a concrete run. A last case pins the
+// engine's tie-break directly: a higher-ranked witness that finishes
+// after the lowest-ranked one never replaces it.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
+#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "automata/lasso.h"
-#include "base/concurrent_set.h"
-#include "base/governor.h"
-#include "base/numbers.h"
-#include "base/state_pool.h"
 #include "era/emptiness.h"
 #include "ra/random.h"
 #include "ra/transform.h"
 
 namespace rav {
 namespace {
-
-// --- LassoWord::Canonicalized ---
-
-TEST(LassoCanonicalTest, PrimitiveRootIsExtracted) {
-  LassoWord word{.prefix = {}, .cycle = {1, 2, 1, 2, 1, 2}};
-  LassoWord canonical = word.Canonicalized();
-  EXPECT_TRUE(canonical.prefix.empty());
-  EXPECT_EQ(canonical.cycle, (std::vector<int>{1, 2}));
-}
-
-TEST(LassoCanonicalTest, BoundaryRollsLeftIntoTheCycle) {
-  // 0·(1 0)^ω spells 0 1 0 1 0 ... = (0 1)^ω.
-  LassoWord word{.prefix = {0}, .cycle = {1, 0}};
-  LassoWord canonical = word.Canonicalized();
-  EXPECT_TRUE(canonical.prefix.empty());
-  EXPECT_EQ(canonical.cycle, (std::vector<int>{0, 1}));
-}
-
-TEST(LassoCanonicalTest, CanonicalFormIsAFixedPoint) {
-  LassoWord word{.prefix = {3, 1}, .cycle = {2, 2, 1}};
-  LassoWord canonical = word.Canonicalized();
-  EXPECT_EQ(canonical.Canonicalized(), canonical);
-}
-
-TEST(LassoCanonicalTest, EveryDecompositionOfAWordCanonicalizesEqually) {
-  std::mt19937 rng(7);
-  std::uniform_int_distribution<int> symbol(0, 2);
-  std::uniform_int_distribution<size_t> length(1, 4);
-  for (int iteration = 0; iteration < 500; ++iteration) {
-    LassoWord base;
-    for (size_t i = length(rng); i > 0; --i) base.prefix.push_back(symbol(rng));
-    for (size_t i = length(rng); i > 0; --i) base.cycle.push_back(symbol(rng));
-    // Alternative decompositions of the same ω-word: pump the cycle
-    // and/or unroll cycles into the prefix.
-    LassoWord pumped = base.PumpCycle(1 + iteration % 3);
-    LassoWord unrolled = base;
-    for (int unroll = 0; unroll <= iteration % 3; ++unroll) {
-      unrolled.prefix.insert(unrolled.prefix.end(), base.cycle.begin(),
-                             base.cycle.end());
-    }
-    const LassoWord canonical = base.Canonicalized();
-    EXPECT_EQ(pumped.Canonicalized(), canonical) << base.ToString();
-    EXPECT_EQ(unrolled.Canonicalized(), canonical) << base.ToString();
-    // The canonical form spells the same ω-word.
-    EXPECT_EQ(canonical.Unroll(24), base.Unroll(24)) << base.ToString();
-  }
-}
-
-// --- StatePool ---
-
-TEST(StatePoolTest, StoresAndRetrievesRecords) {
-  StatePool pool;
-  StatePool::ThreadCache cache;
-  const std::string a = "hello";
-  const std::string b;  // empty records are legal
-  StatePool::Handle ha = pool.Store(
-      cache, reinterpret_cast<const uint8_t*>(a.data()), a.size());
-  StatePool::Handle hb = pool.Store(cache, nullptr, 0);
-  ASSERT_EQ(pool.Size(ha), a.size());
-  EXPECT_EQ(std::memcmp(pool.Data(ha), a.data(), a.size()), 0);
-  EXPECT_EQ(pool.Size(hb), b.size());
-  EXPECT_EQ(pool.records(), 2u);
-  // The payload word starts pending and round-trips a published value.
-  EXPECT_EQ(pool.Payload(ha).load(), 0u);
-  pool.Payload(ha).store(42);
-  EXPECT_EQ(pool.Payload(ha).load(), 42u);
-  EXPECT_EQ(pool.Payload(hb).load(), 0u);
-}
-
-TEST(StatePoolTest, OversizeRecordsGetDedicatedChunks) {
-  StatePool pool(nullptr, /*chunk_bytes=*/256);
-  StatePool::ThreadCache cache;
-  std::vector<uint8_t> big(4096);
-  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i);
-  StatePool::Handle small = pool.Store(cache, big.data(), 16);
-  StatePool::Handle huge = pool.Store(cache, big.data(), big.size());
-  ASSERT_EQ(pool.Size(huge), big.size());
-  EXPECT_EQ(std::memcmp(pool.Data(huge), big.data(), big.size()), 0);
-  ASSERT_EQ(pool.Size(small), 16u);
-  EXPECT_EQ(std::memcmp(pool.Data(small), big.data(), 16), 0);
-}
-
-TEST(StatePoolTest, ChargesAndReleasesTheGovernor) {
-  ExecutionGovernor governor;
-  {
-    StatePool pool(&governor);
-    StatePool::ThreadCache cache;
-    const uint8_t byte = 1;
-    pool.Store(cache, &byte, 1);
-    EXPECT_EQ(governor.live_bytes(), pool.bytes_reserved());
-    EXPECT_GE(pool.bytes_reserved(), StatePool::kDefaultChunkBytes);
-  }
-  // Destroying the pool returns every charged byte.
-  EXPECT_EQ(governor.live_bytes(), 0u);
-}
-
-TEST(StatePoolTest, ConcurrentStoresStayAddressable) {
-  StatePool pool(nullptr, /*chunk_bytes=*/512);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-  std::vector<std::vector<StatePool::Handle>> handles(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &pool, &handles] {
-      StatePool::ThreadCache cache;
-      for (int i = 0; i < kPerThread; ++i) {
-        // Distinct, recomputable payload per (thread, i).
-        uint32_t value = static_cast<uint32_t>(t * kPerThread + i);
-        handles[t].push_back(pool.Store(
-            cache, reinterpret_cast<const uint8_t*>(&value), sizeof(value)));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(pool.records(), static_cast<size_t>(kThreads * kPerThread));
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      uint32_t expected = static_cast<uint32_t>(t * kPerThread + i);
-      ASSERT_EQ(pool.Size(handles[t][i]), sizeof(expected));
-      uint32_t actual;
-      std::memcpy(&actual, pool.Data(handles[t][i]), sizeof(actual));
-      EXPECT_EQ(actual, expected);
-    }
-  }
-}
-
-// --- ConcurrentSet ---
-
-TEST(ConcurrentSetTest, InternsDeduplicate) {
-  StatePool pool;
-  ConcurrentSet set(&pool);
-  StatePool::ThreadCache cache;
-  const std::string key = "configuration";
-  auto first = set.Intern(
-      cache, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  auto second = set.Intern(
-      cache, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  EXPECT_TRUE(first.inserted);
-  EXPECT_FALSE(second.inserted);
-  EXPECT_EQ(first.handle, second.handle);
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(ConcurrentSetTest, GrowthKeepsEveryKeyFindable) {
-  StatePool pool;
-  ExecutionGovernor governor;
-  ConcurrentSet set(&pool, &governor, /*num_shards=*/2);
-  StatePool::ThreadCache cache;
-  std::vector<StatePool::Handle> handles;
-  for (uint32_t i = 0; i < 5000; ++i) {
-    auto r = set.Intern(cache, reinterpret_cast<const uint8_t*>(&i),
-                        sizeof(i));
-    EXPECT_TRUE(r.inserted);
-    handles.push_back(r.handle);
-  }
-  EXPECT_EQ(set.size(), 5000u);
-  // Growth happened (2 shards × 64 initial slots << 5000 keys) and was
-  // charged to the governor along with the pool's chunks.
-  EXPECT_EQ(governor.live_bytes(), set.bytes_reserved());
-  for (uint32_t i = 0; i < 5000; ++i) {
-    auto r = set.Intern(cache, reinterpret_cast<const uint8_t*>(&i),
-                        sizeof(i));
-    EXPECT_FALSE(r.inserted);
-    EXPECT_EQ(r.handle, handles[i]);
-  }
-}
-
-TEST(ConcurrentSetTest, ConcurrentInternsAgreeOnHandles) {
-  StatePool pool;
-  ConcurrentSet set(&pool);
-  constexpr int kThreads = 4;
-  constexpr uint32_t kKeys = 3000;
-  // Every thread interns every key; all threads must see one handle per
-  // key and exactly kKeys distinct entries survive.
-  std::vector<std::vector<StatePool::Handle>> seen(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &set, &seen] {
-      StatePool::ThreadCache cache;
-      for (uint32_t i = 0; i < kKeys; ++i) {
-        seen[t].push_back(
-            set.Intern(cache, reinterpret_cast<const uint8_t*>(&i), sizeof(i))
-                .handle);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(set.size(), static_cast<size_t>(kKeys));
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
-}
-
-// --- Shared vs partitioned differential on random ERAs ---
 
 Dfa RandomConstraintDfa(std::mt19937& rng, int alphabet_size) {
   std::uniform_int_distribution<int> num_states_dist(1, 5);
@@ -234,10 +37,8 @@ Dfa RandomConstraintDfa(std::mt19937& rng, int alphabet_size) {
   return dfa;
 }
 
-// Schema-free (no relational signature): the emptiness verdict of such
-// an automaton is a function of the ω-word alone — exactly the contract
-// kSharedVisited relies on when it reuses a verdict across
-// decompositions.
+// Schema-free (no relational signature), completed, with one to three
+// random global constraints over random registers.
 ExtendedAutomaton RandomCompleteEra(std::mt19937& rng) {
   RandomAutomatonOptions options;
   options.num_registers = std::uniform_int_distribution<int>(1, 3)(rng);
@@ -262,43 +63,62 @@ ExtendedAutomaton RandomCompleteEra(std::mt19937& rng) {
   return era;
 }
 
-TEST(SharedSearchDifferentialTest, AgreesWithThePartitionedEngine) {
+// Searches `era` on one worker and on 2, 3 and 4, and expects every
+// multi-worker search to reproduce the serial one. A search that finds a
+// witness may enumerate and evaluate a few candidates past it before
+// they are cancelled, so the enumeration counters are compared only on
+// searches without one. Returns whether the serial search found a
+// witness.
+bool ExpectSameAtEveryWorkerCount(const std::string& label,
+                                  const ExtendedAutomaton& era) {
+  ControlAlphabet alphabet(era.automaton());
+  EraEmptinessOptions options;
+  options.max_lassos = 200;
+  options.max_search_steps = 20000;
+  options.num_workers = 1;
+  auto serial = CheckEraEmptiness(era, alphabet, options);
+  EXPECT_TRUE(serial.ok()) << label;
+  if (!serial.ok()) return false;
+  if (serial->nonempty) {
+    const LassoWord& word = serial->control_word;
+    const size_t window =
+        word.prefix.size() + word.cycle.size() * SuggestedPumpCount(era);
+    auto witness = RealizeEraWitness(era, alphabet, word, window);
+    EXPECT_TRUE(witness.ok())
+        << label << ": " << witness.status().ToString();
+  }
+  for (int workers : {2, 3, 4}) {
+    const std::string at = label + " workers " + std::to_string(workers);
+    options.num_workers = workers;
+    auto parallel = CheckEraEmptiness(era, alphabet, options);
+    EXPECT_TRUE(parallel.ok()) << at;
+    if (!parallel.ok()) continue;
+    EXPECT_EQ(parallel->nonempty, serial->nonempty) << at;
+    EXPECT_EQ(parallel->stats.stop_reason, serial->stats.stop_reason) << at;
+    EXPECT_EQ(parallel->search_truncated, serial->search_truncated) << at;
+    EXPECT_EQ(parallel->control_word.ToString(),
+              serial->control_word.ToString())
+        << at;
+    if (!serial->nonempty) {
+      EXPECT_EQ(parallel->stats.lassos_enumerated,
+                serial->stats.lassos_enumerated)
+          << at;
+      EXPECT_EQ(parallel->stats.enumeration_steps,
+                serial->stats.enumeration_steps)
+          << at;
+    }
+  }
+  return serial->nonempty;
+}
+
+TEST(WorkerCountDifferentialTest, EveryWorkerCountMatchesTheSerialSearch) {
   std::mt19937 rng(20260809);
   size_t nonempty_seen = 0;
   for (int iteration = 0; iteration < 100; ++iteration) {
     ExtendedAutomaton era = RandomCompleteEra(rng);
-    ControlAlphabet alphabet(era.automaton());
-    EraEmptinessOptions partitioned;
-    partitioned.max_lassos = 200;
-    partitioned.max_search_steps = 20000;
-    auto baseline = CheckEraEmptiness(era, alphabet, partitioned);
-    ASSERT_TRUE(baseline.ok());
-
-    EraEmptinessOptions shared = partitioned;
-    shared.search_mode = SearchMode::kSharedVisited;
-    shared.num_workers = 1 + iteration % 4;
-    auto result = CheckEraEmptiness(era, alphabet, shared);
-    ASSERT_TRUE(result.ok());
-
-    EXPECT_EQ(result->nonempty, baseline->nonempty) << "iter " << iteration;
-    EXPECT_EQ(result->stats.stop_reason, baseline->stats.stop_reason)
-        << "iter " << iteration;
-    EXPECT_EQ(result->search_truncated, baseline->search_truncated)
-        << "iter " << iteration;
-    if (baseline->nonempty) {
+    if (ExpectSameAtEveryWorkerCount("iter " + std::to_string(iteration),
+                                     era)) {
       ++nonempty_seen;
-      // The shared witness may be spelled canonically; it must denote
-      // the same realizable language membership — validate it outright.
-      const LassoWord& word = result->control_word;
-      const size_t window =
-          word.prefix.size() + word.cycle.size() * SuggestedPumpCount(era);
-      auto witness = RealizeEraWitness(era, alphabet, word, window);
-      EXPECT_TRUE(witness.ok())
-          << "iter " << iteration << ": " << witness.status().ToString();
-      // And it is the canonical spelling of the partitioned witness.
-      EXPECT_EQ(word.ToString(),
-                baseline->control_word.Canonicalized().ToString())
-          << "iter " << iteration;
     }
   }
   // The generator must exercise both verdicts for the diff to mean much.
@@ -306,123 +126,43 @@ TEST(SharedSearchDifferentialTest, AgreesWithThePartitionedEngine) {
   EXPECT_LT(nonempty_seen, 90u);
 }
 
-TEST(SharedSearchDifferentialTest, SharedModeIsDeterministicAcrossWorkers) {
+TEST(WorkerCountDifferentialTest, SecondSeedMatchesTheSerialSearch) {
   std::mt19937 rng(42);
   for (int iteration = 0; iteration < 25; ++iteration) {
     ExtendedAutomaton era = RandomCompleteEra(rng);
-    ControlAlphabet alphabet(era.automaton());
-    EraEmptinessOptions options;
-    options.max_lassos = 200;
-    options.max_search_steps = 20000;
-    options.search_mode = SearchMode::kSharedVisited;
-    options.num_workers = 1;
-    auto serial = CheckEraEmptiness(era, alphabet, options);
-    ASSERT_TRUE(serial.ok());
-    for (int workers : {2, 4}) {
-      options.num_workers = workers;
-      auto parallel = CheckEraEmptiness(era, alphabet, options);
-      ASSERT_TRUE(parallel.ok());
-      EXPECT_EQ(parallel->nonempty, serial->nonempty)
-          << "iter " << iteration << " workers " << workers;
-      EXPECT_EQ(parallel->stats.stop_reason, serial->stats.stop_reason)
-          << "iter " << iteration << " workers " << workers;
-      if (serial->nonempty) {
-        EXPECT_EQ(parallel->control_word.ToString(),
-                  serial->control_word.ToString())
-            << "iter " << iteration << " workers " << workers;
-      }
+    ExpectSameAtEveryWorkerCount("seed 42 iter " + std::to_string(iteration),
+                                 era);
+  }
+}
+
+// Every candidate is a witness, but the first one (rank 0) takes a while
+// and the first one of the next batch (rank 16, dealt to another worker)
+// takes longer: that later-found, higher-ranked witness must not replace
+// the lowest-ranked one.
+TEST(WorkerCountDifferentialTest, LaterHigherRankedWitnessNeverWins) {
+  // One accepting state with eight self-loops: far more than two batches
+  // of lassos.
+  Nba nba(8);
+  const int q = nba.AddState();
+  nba.SetInitial(q);
+  nba.SetAccepting(q);
+  for (int symbol = 0; symbol < 8; ++symbol) nba.AddTransition(q, symbol, q);
+  auto evaluate = [](const LassoCandidate& candidate,
+                     LassoWorkerCounters&) -> LassoVerdict {
+    if (candidate.index == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } else if (candidate.index == 16) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-  }
-}
-
-// --- Dedup effectiveness and metrics surface ---
-
-// The bench family's shift ring (see search_test.cc): a k-register ring
-// with skip transitions, so the accepting-lasso space is rich in
-// duplicate decompositions of the same ω-words; with the contradictory
-// constraint pair every closure is inconsistent and the search drains
-// its entire bounded space.
-ExtendedAutomaton MakeShiftRingSearchEra(int k, int n, bool contradictory) {
-  RegisterAutomaton a(k, Schema());
-  for (int s = 0; s < n; ++s) a.AddState(NumberedName("s", s));
-  a.SetInitial(StateId(0));
-  a.SetFinal(StateId(0));
-  for (int s = 0; s < n; ++s) {
-    TypeBuilder b = a.NewGuardBuilder();
-    for (int i = 0; i + 1 < k; ++i) b.AddEq(b.X(i), b.Y(i + 1));
-    a.AddTransition(StateId(s), b.Build().value(), StateId((s + 1) % n));
-  }
-  for (int s = 0; s < n; ++s) {
-    TypeBuilder b = a.NewGuardBuilder();
-    for (int i = 0; i + 1 < k; ++i) b.AddEq(b.X(i), b.Y(i + 1));
-    b.AddEq(b.X(0), b.Y(0));
-    a.AddTransition(StateId(s), b.Build().value(), StateId((s + 2) % n));
-  }
-  ExtendedAutomaton era(std::move(a));
-  if (contradictory) {
-    const RegisterPair r00{RegisterId(0), RegisterId(0)};
-    RAV_CHECK(era.AddConstraintFromText(r00, true, "s0 .* s0").ok());
-    RAV_CHECK(era.AddConstraintFromText(r00, false, "s0 .* s0").ok());
-  }
-  return era;
-}
-
-// An all-rejecting drain reaches the visited set with every duplicate
-// decomposition, so shared mode must call the evaluator strictly fewer
-// times than the partitioned reference while agreeing on the verdict.
-// It does not build fewer closures: the partitioned evaluator's memo of
-// refuted prefixes answers whole subtrees of the DFS without one, and the
-// canonical words shared mode evaluates break those subtrees up.
-TEST(SharedSearchTest, FullDrainDedupsAcrossDecompositions) {
-  ExtendedAutomaton era = MakeShiftRingSearchEra(3, 4, /*contradictory=*/true);
-  ControlAlphabet alphabet(era.automaton());
-  Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
-
-  EraEmptinessOptions partitioned;
-  partitioned.max_lassos = 2000;
-  partitioned.max_lasso_length = 10;
-  EraEmptinessResult baseline =
-      SearchConsistentLasso(era, alphabet, scontrol, partitioned);
-  EXPECT_FALSE(baseline.nonempty);
-
-  EraEmptinessOptions shared = partitioned;
-  shared.search_mode = SearchMode::kSharedVisited;
-  EraEmptinessResult result =
-      SearchConsistentLasso(era, alphabet, scontrol, shared);
-  EXPECT_FALSE(result.nonempty);
-  EXPECT_EQ(result.stats.stop_reason, baseline.stats.stop_reason);
-  EXPECT_EQ(result.stats.mode, SearchMode::kSharedVisited);
-  EXPECT_GT(result.stats.pool_bytes, 0u);
-  // Dedup did real work: some candidates were answered from the set, and
-  // the evaluator ran only for the distinct ω-words.
-  EXPECT_GT(result.stats.visited_hits, 0u);
-  EXPECT_EQ(result.stats.visited_entries + result.stats.visited_hits,
-            result.stats.lassos_checked);
-  EXPECT_LT(result.stats.visited_entries, baseline.stats.lassos_checked);
-}
-
-// --- Governor memory budget through the visited set ---
-
-TEST(SharedSearchGovernorTest, MemoryBudgetTripsOnTheVisitedSet) {
-  std::mt19937 rng(9);
-  ExtendedAutomaton era = RandomCompleteEra(rng);
-  ControlAlphabet alphabet(era.automaton());
-  ExecutionGovernor governor;
-  // Smaller than one pool chunk: the very first intern trips the budget.
-  governor.set_memory_budget(16 * 1024);
-  EraEmptinessOptions options;
-  options.search_mode = SearchMode::kSharedVisited;
-  options.max_lassos = 2000;
-  options.governor = &governor;
-  auto result = CheckEraEmptiness(era, alphabet, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(governor.trip(), GovernorTrip::kMemoryBudget);
-  if (!result->nonempty) {
-    EXPECT_EQ(result->stats.stop_reason, SearchStopReason::kMemoryBudget);
-    EXPECT_TRUE(result->search_truncated);
-  }
-  // The search released the visited set's bytes when it finished.
-  EXPECT_EQ(governor.live_bytes(), 0u);
+    return LassoVerdict::kWitness;
+  };
+  LassoSearchOptions options;
+  options.max_lassos = 64;
+  options.num_workers = 4;
+  LassoSearchOutcome outcome = SearchLassos(nba, options, evaluate);
+  ASSERT_TRUE(outcome.witness.has_value());
+  EXPECT_EQ(outcome.witness->index, 0u);
+  EXPECT_EQ(outcome.stats.stop_reason, SearchStopReason::kWitnessFound);
 }
 
 }  // namespace

@@ -4,21 +4,15 @@
 //   rav_cli info <file>                 print a summary of the automaton
 //   rav_cli print <file>                round-trip through the text format
 //   rav_cli dot <file>                  Graphviz rendering to stdout
-//   rav_cli empty <file> [--threads N] [--search-mode <mode>]
+//   rav_cli empty <file> [--threads N]
 //                                       emptiness over finite databases;
 //                                       N > 1 checks candidate lassos on a
 //                                       worker pool (default N = 1, serial:
 //                                       kDefaultSearchWorkers; same
 //                                       verdict/witness; 0 = all hardware
 //                                       threads; at most
-//                                       kMaxRequestThreads = 64).
-//                                       --search-mode
-//                                       partitioned|shared picks the
-//                                       work-sharing engine: partitioned
-//                                       (default) is the deterministic
-//                                       reference, shared dedups candidates
-//                                       through a concurrent visited set
-//                                       (docs/search.md)
+//                                       kMaxRequestThreads = 64;
+//                                       docs/search.md)
 //   rav_cli project <file> <m>          projection onto registers 1..m
 //   rav_cli lrbound <file>              LR-boundedness estimation
 //   rav_cli simulate <file> <steps>     sample and print a run
@@ -78,7 +72,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -602,17 +595,9 @@ int RunCommand(const std::vector<std::string>& args) {
         }
         empty_options.num_workers = *threads;
         ++i;
-      } else if (std::string(argv[i]) == "--search-mode" && i + 1 < argc) {
-        std::optional<SearchMode> mode = ParseSearchMode(argv[i + 1]);
-        if (!mode.has_value()) {
-          return Fail("empty --search-mode must be 'partitioned' or 'shared'");
-        }
-        empty_options.search_mode = *mode;
-        ++i;
       } else {
         return Fail("empty: unknown argument '" + std::string(argv[i]) +
-                    "' (supported: --threads N, --search-mode "
-                    "<partitioned|shared>)");
+                    "' (supported: --threads N)");
       }
     }
   }
