@@ -68,8 +68,7 @@ LassoWord AnchoredWord(const RegisterAutomaton& a,
 void CheckEnginesAgree(const ExtendedAutomaton& era,
                        const ControlAlphabet& alphabet, const LassoWord& word,
                        size_t window) {
-  ConstraintClosure fast(era, alphabet, word, window, nullptr,
-                         ClosureEngine::kLinear);
+  ConstraintClosure fast(era, alphabet, word, window);
   ConstraintClosure slow =
       ReferenceConstraintClosure(era, alphabet, word, window);
   RAV_CHECK(fast.consistent() == slow.consistent());
@@ -80,7 +79,20 @@ void CheckEnginesAgree(const ExtendedAutomaton& era,
   RAV_CHECK(fast.InequalityEdges() == slow.InequalityEdges());
 }
 
-void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
+// How a rung builds its closure: the production sweep or the oracle.
+using MakeClosureFn = ConstraintClosure (*)(const ExtendedAutomaton&,
+                                            const ControlAlphabet&,
+                                            const LassoWord&, size_t,
+                                            ClosureScratch*);
+
+ConstraintClosure LinearClosure(const ExtendedAutomaton& era,
+                                const ControlAlphabet& alphabet,
+                                const LassoWord& word, size_t window,
+                                ClosureScratch* scratch) {
+  return ConstraintClosure(era, alphabet, word, window, scratch);
+}
+
+void RunClosureBench(benchmark::State& state, MakeClosureFn build) {
   const size_t window = static_cast<size_t>(state.range(0));
   const int num_constraints = static_cast<int>(state.range(1));
   ExtendedAutomaton era = MakeAnchoredConstraintEra(num_constraints);
@@ -91,7 +103,7 @@ void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
   int classes = 0;
   size_t edges = 0;
   for (auto _ : state) {
-    ConstraintClosure closure(era, alphabet, word, window, &scratch, engine);
+    ConstraintClosure closure = build(era, alphabet, word, window, &scratch);
     classes = closure.num_classes();
     edges = closure.InequalityEdges().size();
     benchmark::DoNotOptimize(closure);
@@ -103,7 +115,7 @@ void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
 }
 
 void BM_ClosureLinear(benchmark::State& state) {
-  RunClosureBench(state, ClosureEngine::kLinear);
+  RunClosureBench(state, &LinearClosure);
 }
 // MinTime keeps the engine-vs-engine ratios stable run to run (these two
 // families feed the perf gate and the E17 speedup claims).
@@ -112,7 +124,7 @@ BENCHMARK(BM_ClosureLinear)
     ->MinTime(0.5);
 
 void BM_ClosureReference(benchmark::State& state) {
-  RunClosureBench(state, ClosureEngine::kReference);
+  RunClosureBench(state, &ReferenceConstraintClosure);
 }
 BENCHMARK(BM_ClosureReference)
     ->ArgsProduct({{10, 20, 40, 80, 160}, {2, 4, 8}})
@@ -127,8 +139,7 @@ void BM_ClosureExtendOneCycle(benchmark::State& state) {
   ControlAlphabet alphabet(era.automaton());
   LassoWord word = AnchoredWord(era.automaton(), alphabet);
   ClosureScratch scratch;
-  ConstraintClosure base(era, alphabet, word, window, &scratch,
-                         ClosureEngine::kLinear);
+  ConstraintClosure base(era, alphabet, word, window, &scratch);
   for (auto _ : state) {
     ConstraintClosure wider = base.ExtendedBy(1, &scratch);
     benchmark::DoNotOptimize(wider);

@@ -39,9 +39,9 @@ uint64_t HistogramSum(std::string_view name) {
 }
 
 // Constraint-graph nodes built so far in this process: every closure
-// built from scratch (a reference-engine ExtendedBy is a rebuild) plus
-// the k nodes per position a linear ExtendedBy appends. A count that does
-// not depend on the machine; 0 when metrics are compiled out.
+// built from scratch plus the k nodes per position an ExtendedBy
+// appends. A count that does not depend on the machine; 0 when metrics
+// are compiled out.
 uint64_t ClosureNodesBuilt(int num_registers) {
   return HistogramSum("era/closure/nodes") +
          static_cast<uint64_t>(num_registers) *

@@ -16,14 +16,8 @@ Status EnhancedAutomaton::AddEqualityConstraint(RegisterPair regs, Dfa dfa,
     return Status::InvalidArgument(
         "equality constraint DFA alphabet must be the state set");
   }
-  eq_constraints_.push_back(GlobalConstraint{regs.i, regs.j,
-                                             /*is_equality=*/true,
-                                             std::move(dfa),
-                                             std::move(description),
-                                             /*coreachable=*/{},
-                                             /*loc=*/{}});
-  eq_constraints_.back().coreachable =
-      eq_constraints_.back().dfa.CoreachableStates();
+  eq_constraints_.push_back(MakeGlobalConstraint(
+      regs, /*is_equality=*/true, std::move(dfa), std::move(description)));
   return Status::OK();
 }
 

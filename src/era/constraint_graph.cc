@@ -46,49 +46,56 @@ class SymbolCursor {
 
 }  // namespace
 
-ConstraintClosure::ConstraintClosure(const ExtendedAutomaton& era,
+ConstraintClosure::ConstraintClosure(Unbuilt, const ExtendedAutomaton& era,
                                      const ControlAlphabet& alphabet,
                                      const LassoWord& control_word,
-                                     size_t window, ClosureScratch* scratch,
-                                     ClosureEngine engine)
+                                     size_t window)
     : era_(&era),
       alphabet_(&alphabet),
       word_(control_word),
       k_(era.automaton().num_registers()),
       num_constants_(era.automaton().schema().num_constants()),
-      window_(window),
-      engine_(engine) {
+      window_(window) {
   RAV_CHECK_GE(window, 1u);
-  if (engine_ == ClosureEngine::kAuto) {
-    // The linear sweep's per-constraint setup (coreachable/accept tables,
-    // start-state map, group buffers) only pays off once the window dwarfs
-    // the constraint DFAs; below that the reference restarts are cheaper.
-    auto_engine_ = true;
-    int max_states = 0;
-    for (const auto& c : era.constraints()) {
-      max_states = std::max(max_states, c.dfa.num_states());
-    }
-    engine_ = window_ >= 2 * static_cast<size_t>(max_states)
-                  ? ClosureEngine::kLinear
-                  : ClosureEngine::kReference;
-  }
   uf_.Reset(num_nodes());
   node_in_adom_.assign(num_nodes(), false);
   // Constants are part of the active domain by definition.
   for (int c = 0; c < num_constants_; ++c) {
     node_in_adom_[ConstantNode(c)] = true;
   }
+}
 
+ConstraintClosure::ConstraintClosure(const ExtendedAutomaton& era,
+                                     const ControlAlphabet& alphabet,
+                                     const LassoWord& control_word,
+                                     size_t window, ClosureScratch* scratch)
+    : ConstraintClosure(Unbuilt{}, era, alphabet, control_word, window) {
   ClosureScratch& s =
       scratch != nullptr ? *scratch : ThreadLocalClosureScratch();
-  ApplyTypes(0, s);
-  if (engine_ == ClosureEngine::kLinear) {
-    SweepConstraints(0, s);
-  } else {
-    ReferenceSweep();
-  }
+  ApplyTypes(0);
+  SweepConstraints(0, s);
   Finalize(s);
+  RecordBuilt();
+}
 
+ConstraintClosure ReferenceConstraintClosure(const ExtendedAutomaton& era,
+                                             const ControlAlphabet& alphabet,
+                                             const LassoWord& control_word,
+                                             size_t window,
+                                             ClosureScratch* scratch) {
+  ConstraintClosure closure(ConstraintClosure::Unbuilt{}, era, alphabet,
+                            control_word, window);
+  closure.has_sweep_ = false;
+  ClosureScratch& s =
+      scratch != nullptr ? *scratch : ThreadLocalClosureScratch();
+  closure.ReferenceApplyTypes(s);
+  closure.ReferenceSweep();
+  closure.Finalize(s);
+  closure.RecordBuilt();
+  return closure;
+}
+
+void ConstraintClosure::RecordBuilt() const {
   RAV_METRIC_COUNT("era/closure/built", 1);
   RAV_METRIC_RECORD("era/closure/nodes", num_nodes());
   RAV_METRIC_RECORD("era/closure/classes", num_classes_);
@@ -98,15 +105,8 @@ ConstraintClosure::ConstraintClosure(const ExtendedAutomaton& era,
 
 ConstraintClosure ConstraintClosure::ExtendedBy(size_t extra_cycles,
                                                 ClosureScratch* scratch) const {
+  RAV_CHECK(has_sweep_);  // a reference closure keeps no sweep to resume
   const size_t extra = extra_cycles * word_.cycle.size();
-  if (engine_ == ClosureEngine::kReference) {
-    // The reference engine keeps no sweep state; rebuild at the larger
-    // window (an auto-picked reference closure re-resolves there, so a
-    // small window extended into a large one gets the linear engine).
-    return ConstraintClosure(
-        *era_, *alphabet_, word_, window_ + extra, scratch,
-        auto_engine_ ? ClosureEngine::kAuto : ClosureEngine::kReference);
-  }
   ConstraintClosure out(*this);
   if (extra == 0) return out;
 
@@ -121,7 +121,7 @@ ConstraintClosure ConstraintClosure::ExtendedBy(size_t extra_cycles,
   // successor, re-apply its full type (a superset of the restriction, so
   // re-application only adds the constraints a from-scratch closure over
   // the larger window would have).
-  out.ApplyTypes(old_window - 1, s);
+  out.ApplyTypes(old_window - 1);
   out.SweepConstraints(old_window, s);
   out.Finalize(s);
 
@@ -152,13 +152,12 @@ void ConstraintClosure::ApplyOneType(const Type& t, const int* element_to_node,
   }
 }
 
-void ConstraintClosure::ReferenceApplyTypes(size_t from_pos,
-                                            ClosureScratch& scratch) {
+void ConstraintClosure::ReferenceApplyTypes(ClosureScratch& scratch) {
   // The original per-position path: every position re-derives class
   // representatives from the Type object, and the last position's
   // restriction is recomputed per closure.
   std::vector<int>& nodes = scratch.element_nodes_;
-  for (size_t n = from_pos; n + 1 < window_; ++n) {
+  for (size_t n = 0; n + 1 < window_; ++n) {
     nodes.clear();
     for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(n, i));
     for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(n + 1, i));
@@ -174,11 +173,7 @@ void ConstraintClosure::ReferenceApplyTypes(size_t from_pos,
   ApplyOneType(last, nodes.data(), scratch);
 }
 
-void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
-  if (engine_ == ClosureEngine::kReference) {
-    ReferenceApplyTypes(from_pos, scratch);
-    return;
-  }
+void ConstraintClosure::ApplyTypes(size_t from_pos) {
   // The per-symbol programs are compile::GuardOps, lowered once at
   // alphabet build and shared across every closure and every worker.
   // Full types of positions with a successor inside the window: the
@@ -231,9 +226,6 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
     qs.push_back(alphabet_->state_of(SymbolId(cursor.Next())).value());
   }
 
-  int max_q = 0;
-  for (int q : qs) max_q = std::max(max_q, q);
-
   // New parked state is staged in scratch (reading the old state as we
   // go) and assigned to the closure in one shot afterwards.
   std::vector<ClosureSweepGroup>& next_groups = scratch.parked_groups_tmp_;
@@ -245,30 +237,13 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
     const GlobalConstraint& c = constraints[ci];
     const Dfa& dfa = c.dfa;
-    const int num_dfa_states = dfa.num_states();
-    // Flat per-constraint tables: byte copies of the accepting and
-    // coreachable bitsets, and the state a run starting on control state
-    // q is in after one step (-1 if it can never reach an accept).
-    // Constraints added through AddConstraintDfa always carry the
-    // precomputed coreachable set; treat a missing one as all-live.
-    const bool have_coreach =
-        c.coreachable.size() == static_cast<size_t>(num_dfa_states);
-    std::vector<char>& live = scratch.live_;
-    std::vector<char>& accept = scratch.accept_;
-    live.resize(num_dfa_states);
-    accept.resize(num_dfa_states);
-    for (int s = 0; s < num_dfa_states; ++s) {
-      live[s] = !have_coreach || c.coreachable[s];
-      accept[s] = dfa.IsAccepting(s);
-    }
-    std::vector<int>& start_state = scratch.start_state_of_q_;
-    start_state.assign(max_q + 1, -1);
+    // The constraint's live/accepting tables and the DFA's initial row
+    // (the state a run starting on control state q is in after one step)
+    // are built once per constraint and shared by every closure.
+    const char* live = c.live.data();
+    const char* accept = c.accepting.data();
     const int* initial_row = dfa.NextRow(dfa.initial());
-    for (int q : qs) {
-      const int s0 = initial_row[q];
-      start_state[q] = live[s0] ? s0 : -1;
-    }
-    scratch.EnsureStateBuffers(num_dfa_states);
+    scratch.EnsureStateBuffers(dfa.num_states());
     int cur = 0;
     for (; gi < sweep_groups_.size() &&
            sweep_groups_[gi].constraint == static_cast<int>(ci);
@@ -310,8 +285,8 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
       }
       scratch.occupied_[cur].clear();
       // A new run starts at position m (the factor q_m...).
-      const int s0 = start_state[q];
-      if (s0 >= 0) {
+      const int s0 = initial_row[q];
+      if (live[s0]) {
         std::vector<int>& dst = to_side[s0];
         if (dst.empty()) occ_nxt.push_back(s0);
         dst.push_back(m);

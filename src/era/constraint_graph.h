@@ -12,20 +12,6 @@
 
 namespace rav {
 
-// Which global-constraint engine a closure is built with. The linear
-// engine is the production path for pumped windows; the reference engine
-// keeps the original per-start-position DFA restarts (O(window² · |Σ|))
-// for differential testing — both must produce identical classes, edges,
-// and verdicts. The default kAuto picks the linear sweep once the window
-// is large enough to amortize its per-constraint setup
-// (window ≥ 2 · max |Q_dfa|) and the plain restarts below that, where
-// the quadratic term is smaller than the setup cost.
-enum class ClosureEngine {
-  kAuto,
-  kLinear,
-  kReference,
-};
-
 // One live set of constraint-DFA runs parked between sweeps: every start
 // position in [begin, end) of the flat start array has driven constraint
 // `constraint`'s DFA to `dfa_state` on the factor read so far. For
@@ -66,9 +52,6 @@ class ClosureScratch {
   std::vector<std::vector<int>> state_starts_[2];
   std::vector<int> occupied_[2];  // states with a group, insertion order
   std::vector<int> states_at_;    // control states of the sweep's positions
-  std::vector<char> live_;        // per-constraint coreachable, as bytes
-  std::vector<char> accept_;      // per-constraint accepting set, as bytes
-  std::vector<int> start_state_of_q_;  // control state -> post-start state
 
   std::vector<int> root_to_class_;
   std::vector<int> type_rep_;
@@ -100,7 +83,9 @@ class ClosureScratch {
 // whose factors lead to the same state advance together), groups at
 // states from which no accepting state is reachable are dropped, and an
 // accepting group emits its edges in one pass — O(window · |Q_dfa|) per
-// constraint instead of the reference engine's per-start restarts.
+// constraint instead of the reference engine's per-start restarts. The
+// sweep reads each constraint's live/accepting tables, built once when the
+// constraint was added, so a closure does no per-constraint setup.
 //
 // The window is a finite under-approximation of the infinite unrolling:
 // any contradiction found is genuine; consistency is relative to the
@@ -117,22 +102,19 @@ class ConstraintClosure {
   ConstraintClosure(const ExtendedAutomaton& era,
                     const ControlAlphabet& alphabet,
                     const LassoWord& control_word, size_t window,
-                    ClosureScratch* scratch = nullptr,
-                    ClosureEngine engine = ClosureEngine::kAuto);
+                    ClosureScratch* scratch = nullptr);
 
   // The closure of the same word over window() + extra_cycles · period
   // positions, computed by resuming this closure's sweep instead of
   // rebuilding from position 0. Identical (classes, edges, consistency)
-  // to a from-scratch closure over the larger window.
+  // to a from-scratch closure over the larger window. Not defined on a
+  // ReferenceConstraintClosure, which keeps no sweep to resume.
   ConstraintClosure ExtendedBy(size_t extra_cycles,
                                ClosureScratch* scratch = nullptr) const;
 
   size_t window() const { return window_; }
   int num_registers() const { return k_; }
   int num_constants() const { return num_constants_; }
-  // The engine the closure was actually built with (kAuto resolves to
-  // kLinear or kReference in the constructor).
-  ClosureEngine engine() const { return engine_; }
 
   // Node ids: constants first (stable under ExtendedBy), then the
   // register occurrences in position-major order.
@@ -202,19 +184,32 @@ class ConstraintClosure {
   }
 
  private:
+  friend ConstraintClosure ReferenceConstraintClosure(
+      const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
+      const LassoWord& control_word, size_t window, ClosureScratch* scratch);
+
+  // A closure over `window` positions with nothing applied yet: every
+  // node its own class, only the constants in the active domain. The
+  // public constructor and ReferenceConstraintClosure fill it in.
+  struct Unbuilt {};
+  ConstraintClosure(Unbuilt, const ExtendedAutomaton& era,
+                    const ControlAlphabet& alphabet,
+                    const LassoWord& control_word, size_t window);
+  void RecordBuilt() const;
+
   // Applies the transition types of positions [from_pos, window_): full
-  // types up to window_ - 2, the x̄-restricted type at the last position.
-  // The linear engine replays each symbol's closure ops, lowered once by
-  // the alphabet's guard tables; the reference engine re-derives every
-  // position from the Type objects, faithful to the original
-  // implementation's cost.
-  void ApplyTypes(size_t from_pos, ClosureScratch& scratch);
-  void ReferenceApplyTypes(size_t from_pos, ClosureScratch& scratch);
-  void ApplyOneType(const Type& type, const int* element_to_node,
-                    ClosureScratch& scratch);
+  // types up to window_ - 2, the x̄-restricted type at the last position,
+  // by replaying each symbol's closure ops, lowered once by the
+  // alphabet's guard tables.
+  void ApplyTypes(size_t from_pos);
   // Advances every constraint sweep over positions [from_pos, window_).
   void SweepConstraints(size_t from_pos, ClosureScratch& scratch);
-  // The original per-start-restart loop (reference engine only).
+  // The reference engine: re-derives every position from the Type
+  // objects and restarts each constraint DFA at every start position,
+  // faithful to the original implementation's cost.
+  void ReferenceApplyTypes(ClosureScratch& scratch);
+  void ApplyOneType(const Type& type, const int* element_to_node,
+                    ClosureScratch& scratch);
   void ReferenceSweep();
   // Recomputes classes, adom flags, deduplicated edges, and consistency
   // from the union-find and the raw edge list.
@@ -226,16 +221,15 @@ class ConstraintClosure {
   int k_;
   int num_constants_;
   size_t window_;
-  ClosureEngine engine_;  // resolved engine; never kAuto after the ctor
-  bool auto_engine_ = false;  // engine_ was picked by the kAuto crossover
+  bool has_sweep_ = true;  // false for a reference closure
   UnionFind uf_;
   bool consistent_ = true;
   int num_classes_ = 0;
   std::vector<char> node_in_adom_;
   std::vector<std::pair<int, int>> raw_ineq_;  // node pairs, with duplicates
-  // Live sweep groups (linear engine), ordered by constraint, kept so
-  // ExtendedBy can resume after the last position. `sweep_starts_` is the
-  // flat start array the groups' [begin, end) ranges index into.
+  // Live sweep groups, ordered by constraint, kept so ExtendedBy can
+  // resume after the last position. `sweep_starts_` is the flat start
+  // array the groups' [begin, end) ranges index into.
   std::vector<ClosureSweepGroup> sweep_groups_;
   std::vector<int> sweep_starts_;
   std::vector<int> class_of_node_;
@@ -243,15 +237,14 @@ class ConstraintClosure {
   std::vector<std::pair<int, int>> ineq_edges_;  // class pairs, deduped
 };
 
-// The original O(window² · |Σ|) closure, for differential testing of the
-// linear engine (tests/closure_diff_test.cc, bench_closure).
-inline ConstraintClosure ReferenceConstraintClosure(
-    const ExtendedAutomaton& era, const ControlAlphabet& alphabet,
-    const LassoWord& control_word, size_t window,
-    ClosureScratch* scratch = nullptr) {
-  return ConstraintClosure(era, alphabet, control_word, window, scratch,
-                           ClosureEngine::kReference);
-}
+// The original O(window² · |Σ|) closure: the oracle the linear sweep is
+// checked against (closure_diff_test, guard_table_test, E17, E23). No
+// production path builds one.
+ConstraintClosure ReferenceConstraintClosure(const ExtendedAutomaton& era,
+                                             const ControlAlphabet& alphabet,
+                                             const LassoWord& control_word,
+                                             size_t window,
+                                             ClosureScratch* scratch = nullptr);
 
 // A pump count sufficient to expose the periodic constraint structure of
 // the lasso: enough cycle repetitions that every constraint DFA re-enters

@@ -4,6 +4,20 @@
 
 namespace rav {
 
+GlobalConstraint MakeGlobalConstraint(RegisterPair regs, bool is_equality,
+                                      Dfa dfa, std::string description) {
+  GlobalConstraint c{regs.i, regs.j, is_equality, std::move(dfa),
+                     std::move(description), /*live=*/{}, /*accepting=*/{},
+                     /*loc=*/{}};
+  const std::vector<bool> coreachable = c.dfa.CoreachableStates();
+  c.live.assign(coreachable.begin(), coreachable.end());
+  c.accepting.resize(c.dfa.num_states());
+  for (int s = 0; s < c.dfa.num_states(); ++s) {
+    c.accepting[s] = c.dfa.IsAccepting(s);
+  }
+  return c;
+}
+
 Status ExtendedAutomaton::AddConstraint(RegisterPair regs, bool is_equality,
                                         const Regex& regex,
                                         std::string description) {
@@ -23,12 +37,8 @@ Status ExtendedAutomaton::AddConstraintDfa(RegisterPair regs, bool is_equality,
     return Status::InvalidArgument(
         "constraint DFA alphabet must be the automaton's state set");
   }
-  constraints_.push_back(GlobalConstraint{regs.i, regs.j, is_equality,
-                                          std::move(dfa),
-                                          std::move(description),
-                                          /*coreachable=*/{},
-                                          /*loc=*/{}});
-  constraints_.back().coreachable = constraints_.back().dfa.CoreachableStates();
+  constraints_.push_back(MakeGlobalConstraint(regs, is_equality, std::move(dfa),
+                                              std::move(description)));
   return Status::OK();
 }
 

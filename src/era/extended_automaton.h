@@ -32,14 +32,22 @@ struct GlobalConstraint {
   bool is_equality = true; // e= vs e≠
   Dfa dfa;                 // compiled over the state alphabet Q
   std::string description; // original regex text, for display
-  // dfa.CoreachableStates(), precomputed once at AddConstraintDfa time so
-  // the constraint-closure sweep can drop dead DFA runs without paying a
-  // reverse reachability per closure.
-  std::vector<bool> coreachable;
+  // Byte tables over the DFA's states, built once by MakeGlobalConstraint
+  // and read by every constraint-closure sweep: live[s] iff an accepting
+  // state is reachable from s (dfa.CoreachableStates()), so a run entering
+  // a dead state is dropped; accepting[s] iff s accepts.
+  std::vector<char> live;
+  std::vector<char> accepting;
   // Spec-file position of the declaration (io/text_format); invalid for
   // programmatically added constraints.
   SourceLocation loc;
 };
+
+// A constraint over `dfa` with its sweep tables built. The only way a
+// GlobalConstraint is made (ExtendedAutomaton::AddConstraintDfa,
+// EnhancedAutomaton::AddEqualityConstraint).
+GlobalConstraint MakeGlobalConstraint(RegisterPair regs, bool is_equality,
+                                      Dfa dfa, std::string description);
 
 // An extended register automaton 𝒜 = (A, Σ): a register automaton plus
 // global regular (in)equality constraints. Runs of 𝒜 are the runs of A

@@ -445,8 +445,15 @@ void SocketTransport::Impl::ReadReady(Connection* conn) {
     }
     if (n == 0) {
       // Half-close: no more requests, but the client still reads — finish
-      // what was admitted, flush, then close.
+      // what was admitted, flush, then close. A final line without a
+      // newline is still a request, as ReadBoundedLine reads it, unless
+      // it is the tail of an oversized line being discarded.
       conn->read_closed = true;
+      if (!conn->discarding && !conn->read_buf.empty()) {
+        std::string line;
+        line.swap(conn->read_buf);
+        ProcessLine(conn, line);
+      }
       return;
     }
     conn->last_activity = Clock::now();

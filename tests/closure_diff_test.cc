@@ -1,12 +1,13 @@
-// Differential tests of the linear-pass constraint-closure engine against
-// the reference per-start-restart engine, and of ExtendedBy against a
-// from-scratch rebuild. The two engines must agree on every observable:
-// consistency, the class assignment of every node, adom membership, and
-// the deduplicated inequality edge set.
+// Differential tests of the constraint closure's linear sweep against the
+// reference per-start-restart engine (ReferenceConstraintClosure), and of
+// ExtendedBy against a from-scratch build. They must agree on every
+// observable: consistency, the class assignment of every node, adom
+// membership, and the deduplicated inequality edge set. The random
+// constraint DFAs have random initial states and accepting sets, so the
+// sweep's start row and per-constraint tables are exercised off state 0.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
 
 #include "era/constraint_graph.h"
@@ -105,15 +106,10 @@ TEST(ClosureDiffTest, LinearMatchesReferenceOnRandomInstances) {
         inst.word.prefix.size() + inst.word.cycle.size(), 40);
     const size_t window = window_dist(rng);
     ConstraintClosure fast(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
+                           &scratch);
     ConstraintClosure reference = ReferenceConstraintClosure(
         inst.era, inst.alphabet, inst.word, window, &scratch);
     ExpectSameClosure(fast, reference);
-    // The default kAuto engine must agree with both whichever way the
-    // window-size crossover resolves it.
-    ConstraintClosure auto_pick(inst.era, inst.alphabet, inst.word, window,
-                                &scratch);
-    ExpectSameClosure(auto_pick, reference);
   }
 }
 
@@ -131,16 +127,28 @@ TEST(ClosureDiffTest, ExtendedByMatchesRebuild) {
         window + extra_cycles * inst.word.cycle.size();
 
     ConstraintClosure base(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
+                           &scratch);
     ConstraintClosure extended = base.ExtendedBy(extra_cycles, &scratch);
     ConstraintClosure rebuilt(inst.era, inst.alphabet, inst.word,
-                              wider_window, &scratch,
-                              ClosureEngine::kLinear);
+                              wider_window, &scratch);
     ExpectSameClosure(extended, rebuilt);
     // And against the reference engine at the wider window.
     ConstraintClosure reference = ReferenceConstraintClosure(
         inst.era, inst.alphabet, inst.word, wider_window);
     ExpectSameClosure(extended, reference);
+
+    // The emptiness search's probe→pump step: the lasso as written
+    // (prefix plus one cycle), extended to the pumped window.
+    const size_t prefix = inst.word.prefix.size();
+    const size_t period = inst.word.cycle.size();
+    const size_t pump = SuggestedPumpCount(inst.era);
+    ConstraintClosure probe(inst.era, inst.alphabet, inst.word,
+                            prefix + period, &scratch);
+    ConstraintClosure pumped = probe.ExtendedBy(pump - 1, &scratch);
+    ExpectSameClosure(pumped,
+                      ReferenceConstraintClosure(inst.era, inst.alphabet,
+                                                 inst.word,
+                                                 prefix + pump * period));
   }
 }
 
@@ -152,7 +160,7 @@ TEST(ClosureDiffTest, ExtendingTwiceMatchesExtendingOnce) {
     const size_t window =
         inst.word.prefix.size() + 2 * inst.word.cycle.size();
     ConstraintClosure base(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
+                           &scratch);
     ConstraintClosure twice =
         base.ExtendedBy(1, &scratch).ExtendedBy(2, &scratch);
     ConstraintClosure once = base.ExtendedBy(3, &scratch);
@@ -160,25 +168,11 @@ TEST(ClosureDiffTest, ExtendingTwiceMatchesExtendingOnce) {
   }
 }
 
-TEST(ClosureDiffTest, ReferenceEngineExtendedByRebuilds) {
-  std::mt19937 rng(7);
-  RandomInstance inst = MakeInstance(rng);
-  const size_t window = inst.word.prefix.size() + inst.word.cycle.size();
-  ConstraintClosure reference = ReferenceConstraintClosure(
-      inst.era, inst.alphabet, inst.word, window);
-  ConstraintClosure wider = reference.ExtendedBy(2);
-  EXPECT_EQ(wider.window(), window + 2 * inst.word.cycle.size());
-  ConstraintClosure rebuilt = ReferenceConstraintClosure(
-      inst.era, inst.alphabet, inst.word, wider.window());
-  ExpectSameClosure(wider, rebuilt);
-}
-
 // The emptiness search refutes a candidate on the lasso as written and
 // pumps only the survivors. That is sound because a window's constraints
 // are a subset of any longer window's: once a word's closure is
 // inconsistent at a window W', it is inconsistent at every W >= W'.
-// Checked over every window of each random word, with the default engine
-// the search uses.
+// Checked over every window of each random word.
 TEST(ClosureDiffTest, InconsistencyPersistsIntoEveryLargerWindow) {
   std::mt19937 rng(20261017);
   ClosureScratch scratch;
@@ -267,7 +261,7 @@ TEST(ClosureDiffTest, NoWindowBelowTheContradictionFloorIsInconsistent) {
     size_t shortest = 0;
     for (size_t window = 1; window <= 24; ++window) {
       ConstraintClosure linear(inst.era, inst.alphabet, inst.word, window,
-                               &scratch, ClosureEngine::kLinear);
+                               &scratch);
       ConstraintClosure reference = ReferenceConstraintClosure(
           inst.era, inst.alphabet, inst.word, window, &scratch);
       EXPECT_EQ(linear.ContradictionFloor(), reference.ContradictionFloor())
@@ -290,36 +284,6 @@ TEST(ClosureDiffTest, NoWindowBelowTheContradictionFloorIsInconsistent) {
   }
   EXPECT_GT(inconsistent, 0);
   EXPECT_GT(exact, inconsistent / 2);  // the floor is usually exact
-}
-
-// kAuto picks the reference restarts below the crossover window and the
-// linear sweep above it, and an auto-picked small closure extended past
-// the crossover re-resolves to the linear engine.
-TEST(ClosureDiffTest, AutoEngineCrossesOverByWindowSize) {
-  std::mt19937 rng(20260807);
-  for (int iteration = 0; iteration < 20; ++iteration) {
-    RandomInstance inst = MakeInstance(rng);
-    if (inst.era.constraints().empty()) continue;
-    int max_states = 0;
-    for (const auto& c : inst.era.constraints()) {
-      max_states = std::max(max_states, c.dfa.num_states());
-    }
-    const size_t crossover = 2 * static_cast<size_t>(max_states);
-    const size_t small = inst.word.prefix.size() + inst.word.cycle.size();
-    ConstraintClosure at_small(inst.era, inst.alphabet, inst.word, small);
-    EXPECT_EQ(at_small.engine(), small >= crossover
-                                     ? ClosureEngine::kLinear
-                                     : ClosureEngine::kReference);
-    // Extend well past the crossover: the result must re-resolve to the
-    // linear engine and still match a reference rebuild.
-    size_t cycles = 0;
-    while (small + cycles * inst.word.cycle.size() < crossover + 8) ++cycles;
-    ConstraintClosure wide = at_small.ExtendedBy(cycles);
-    EXPECT_EQ(wide.engine(), ClosureEngine::kLinear);
-    ConstraintClosure rebuilt = ReferenceConstraintClosure(
-        inst.era, inst.alphabet, inst.word, wide.window());
-    ExpectSameClosure(wide, rebuilt);
-  }
 }
 
 }  // namespace

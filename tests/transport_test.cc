@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -165,16 +166,21 @@ class Client {
   }
   bool connected() const { return connected_; }
 
-  void Send(const std::string& line) {
-    const std::string framed = line + "\n";
+  void Send(const std::string& line) { SendBytes(line + "\n"); }
+
+  // Sends `bytes` as they are, with no newline added.
+  void SendBytes(const std::string& bytes) {
     size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
                                MSG_NOSIGNAL);
       if (n <= 0) return;
       sent += static_cast<size_t>(n);
     }
   }
+
+  // Half-close: the server reads EOF but can still answer.
+  void CloseWrite() { ::shutdown(fd_, SHUT_WR); }
 
   // Reads one response line, waiting up to `timeout`. Empty on timeout
   // or EOF.
@@ -441,6 +447,32 @@ TEST(SocketTransportTest, OversizedLineCompletingInOneChunkIsStillRejected) {
   EXPECT_TRUE(Field(after, "ok").bool_value());
 }
 
+TEST(SocketTransportTest, FinalLineWithoutNewlineIsAnswered) {
+  // Regression: a half-close after an unterminated last line closed the
+  // connection with nothing sent, though stdin and `rav_cli batch` answer
+  // that line (ReadBoundedLine reads it as kOk).
+  TransportOptions options;
+  options.max_line_bytes = 256;
+  TransportFixture server{options};
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.SendBytes(R"({"id":"b","op":"stats"})");
+  client.CloseWrite();
+  Json response = client.ReadJson();
+  EXPECT_EQ(Field(response, "id").string_value(), "b");
+  EXPECT_TRUE(Field(response, "ok").bool_value());
+  EXPECT_EQ(client.ReadLine(), "");  // then the server closes
+  // The unterminated tail of an oversized line is rejected once, not
+  // answered again at EOF.
+  Client oversized(server.port());
+  ASSERT_TRUE(oversized.connected());
+  oversized.SendBytes(std::string(300, 'x'));
+  oversized.CloseWrite();
+  EXPECT_EQ(Field(oversized.ReadJson(), "error_kind").string_value(),
+            "request_too_large");
+  EXPECT_EQ(oversized.ReadLine(), "");
+}
+
 TEST(SocketTransportTest, ParseErrorRecoversTheRequestId) {
   TransportFixture server{TransportOptions{}};
   Client client(server.port());
@@ -620,6 +652,163 @@ TEST(SocketTransportTest, IdleConnectionsAreReaped) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(idle.ReadLine(5000ms), "");
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
+}
+
+// --- Socket framing differential -------------------------------------------
+
+// `request` padded with spaces to exactly `cap` bytes, or `cap` bytes of
+// filler when the request alone is longer.
+std::string AtTheCap(const std::string& request, size_t cap) {
+  if (request.size() > cap) return std::string(cap, 'x');
+  return request + std::string(cap - request.size(), ' ');
+}
+
+// One line of a framing stream, of a kind the poll thread answers inline:
+// a cancel request (half of them with printable bytes or newlines flipped
+// in, which may split the line or make it a parse error), random garbage,
+// an empty line, a line exactly `max_line_bytes` long, or a longer one.
+std::string FramingLine(std::mt19937& rng, size_t max_line_bytes, int n) {
+  const std::string id = std::to_string(n);
+  const std::string cancel =
+      "{\"id\":\"c" + id + "\",\"op\":\"cancel\",\"target\":\"t" + id + "\"}";
+  switch (rng() % 6) {
+    case 0:
+      return "";
+    case 1: {
+      std::string garbage(1 + rng() % 64, ' ');
+      for (char& c : garbage) c = static_cast<char>(rng() % 256);
+      return garbage;
+    }
+    case 2:
+      return AtTheCap(cancel, max_line_bytes);
+    case 3:
+      return std::string(max_line_bytes + 1 + rng() % 300, 'y');
+    default: {
+      std::string line = cancel;
+      for (int flips = rng() % 2 == 0 ? 0 : 1 + static_cast<int>(rng() % 3);
+           flips > 0; --flips) {
+        const unsigned byte = rng() % 96;  // printable ASCII or a newline
+        line[rng() % line.size()] =
+            byte == 95 ? '\n' : static_cast<char>(' ' + byte);
+      }
+      return line;
+    }
+  }
+}
+
+// The rav_serve stdio reading of a stream, as "id|kind" per answer in
+// order: ReadBoundedLine frames it, an empty line gets no answer, and
+// ParseRequest decides the rest (kind is the error_kind, or an answered
+// cancel's verdict). False if a line would go to a worker, whose answer
+// may overtake the inline ones.
+bool StdioAnswers(const std::string& stream, size_t max_line_bytes,
+                  std::vector<std::string>* answers) {
+  answers->clear();
+  std::istringstream in(stream);
+  std::string line;
+  for (;;) {
+    const ReadLineStatus status = ReadBoundedLine(in, &line, max_line_bytes);
+    if (status == ReadLineStatus::kEof) return true;
+    if (status == ReadLineStatus::kTooLarge) {
+      answers->push_back("|request_too_large");
+      continue;
+    }
+    if (line.empty()) continue;
+    Result<QueryRequest> request = ParseRequest(line);
+    if (!request.ok()) {
+      answers->push_back(MakeParseError(line, request.status()).id +
+                         "|parse_error");
+    } else if (request->op == Op::kCancel) {
+      answers->push_back(request->id + "|not in flight");
+    } else {
+      return false;
+    }
+  }
+}
+
+// The socket's answers to one connection, as "id|kind", read until the
+// server closes it.
+std::vector<std::string> SocketAnswers(Client& client) {
+  std::vector<std::string> answers;
+  for (std::string line = client.ReadLine(); !line.empty();
+       line = client.ReadLine()) {
+    Result<Json> parsed = Json::Parse(line);
+    if (!parsed.ok()) {
+      answers.push_back("unparseable: " + line);
+      continue;
+    }
+    const Json* kind = parsed->Find("error_kind");
+    if (kind == nullptr) kind = &Field(*parsed, "verdict");
+    answers.push_back(Field(*parsed, "id").string_value() + "|" +
+                      kind->string_value());
+  }
+  return answers;
+}
+
+// The socket transport frames a request stream exactly as the stdio
+// reader does: the same lines, at any max_line_bytes in [1, 8192], however
+// the stream is cut into send() pieces, with lines straddling the 4 KiB
+// recv chunk, with or without a final newline. The last stream of each
+// server ends in an unterminated line exactly at the cap.
+TEST(SocketTransportTest, FramingMatchesTheStdioReader) {
+  std::mt19937 rng(20261020);
+  int next_id = 0;
+  int unterminated_answered = 0;
+  int at_cap_terminated = 0;
+  int straddling = 0;
+  for (int server_index = 0; server_index < 10; ++server_index) {
+    TransportOptions options;
+    options.threads = 1;
+    options.max_line_bytes = 1 + rng() % 8192;
+    const size_t cap = options.max_line_bytes;
+    TransportFixture server{options};
+    for (int stream_index = 0; stream_index < 4; ++stream_index) {
+      std::string stream;
+      std::vector<std::string> want;
+      do {
+        stream.clear();
+        for (int lines = 1 + static_cast<int>(rng() % 8); lines > 0; --lines) {
+          stream += FramingLine(rng, cap, next_id++) + "\n";
+        }
+        if (stream_index == 3) {
+          stream += AtTheCap("{\"id\":\"last\",\"op\":\"cancel\"}", cap);
+        } else if (rng() % 2 == 0) {
+          stream.pop_back();
+        }
+      } while (!StdioAnswers(stream, cap, &want));
+
+      // Non-vacuity: count the framing cases the stream exercises.
+      size_t start = 0;
+      while (start < stream.size()) {
+        const size_t end = std::min(stream.find('\n', start), stream.size());
+        const size_t length = end - start;
+        straddling += length > 4096;
+        if (end == stream.size()) {
+          unterminated_answered += length <= cap;
+        } else {
+          at_cap_terminated += length == cap;
+        }
+        start = end + 1;
+      }
+
+      Client client(server.port());
+      ASSERT_TRUE(client.connected());
+      for (size_t sent = 0; sent < stream.size();) {
+        const size_t piece =
+            std::min(stream.size() - sent, size_t{1} + rng() % 6000);
+        client.SendBytes(stream.substr(sent, piece));
+        sent += piece;
+        if (rng() % 4 == 0) std::this_thread::sleep_for(100us);
+      }
+      client.CloseWrite();
+      EXPECT_EQ(SocketAnswers(client), want)
+          << "max_line_bytes " << cap << ", stream of " << stream.size()
+          << " bytes";
+    }
+  }
+  EXPECT_GT(unterminated_answered, 10);
+  EXPECT_GT(at_cap_terminated, 0);
+  EXPECT_GT(straddling, 0);
 }
 
 }  // namespace

@@ -118,9 +118,15 @@ extern "C" void HandleSigint(int) {
 // "HOLDS", ...) for the `--report` JSON; it defaults from the exit code.
 std::string g_verdict;
 
-int Fail(const std::string& message) {
+int Fail(const std::string& message, int exit_code = kExitError) {
   std::fprintf(stderr, "rav_cli: %s\n", message.c_str());
-  return 1;
+  return exit_code;
+}
+
+// A bad invocation: an unknown command, flag or argument, or a missing,
+// malformed or out-of-range one. Exits with the documented usage code.
+int UsageError(const std::string& message) {
+  return Fail(message, kExitUsage);
 }
 
 // Failure exit for a Status: governor trips (surfaced as
@@ -496,7 +502,7 @@ int RunCommand(const std::vector<std::string>& args) {
                  "usage: rav_cli "
                  "<info|print|dot|empty|project|lrbound|simulate|verify|lint"
                  "|batch> <file> [args...] [--report <json>]\n");
-    return 2;
+    return kExitUsage;
   }
   std::string command = argv[1];
 
@@ -509,36 +515,43 @@ int RunCommand(const std::vector<std::string>& args) {
       const std::string arg = argv[i];
       if (arg == "--threads" && i + 1 < argc) {
         auto threads_arg = ParseIntArg("--threads", argv[++i]);
-        if (!threads_arg.ok()) return Fail(threads_arg.status().message());
-        if (*threads_arg < 0) return Fail("batch --threads must be >= 0");
+        if (!threads_arg.ok()) {
+          return UsageError(threads_arg.status().message());
+        }
+        if (*threads_arg < 0) {
+          return UsageError("batch --threads must be >= 0");
+        }
         if (*threads_arg > service::kMaxRequestThreads) {
-          return Fail(NumberedName("batch --threads must be <= ",
-                                   service::kMaxRequestThreads) +
-                      " (kMaxRequestThreads)");
+          return UsageError(NumberedName("batch --threads must be <= ",
+                                         service::kMaxRequestThreads) +
+                            " (kMaxRequestThreads)");
         }
         threads = *threads_arg == 0
                       ? static_cast<int>(std::thread::hardware_concurrency())
                       : *threads_arg;
       } else if (arg == "--cache" && i + 1 < argc) {
         auto cache_arg = ParseIntArg("--cache", argv[++i]);
-        if (!cache_arg.ok()) return Fail(cache_arg.status().message());
-        if (*cache_arg < 1) return Fail("batch --cache must be >= 1");
+        if (!cache_arg.ok()) return UsageError(cache_arg.status().message());
+        if (*cache_arg < 1) return UsageError("batch --cache must be >= 1");
         cache_capacity = static_cast<size_t>(*cache_arg);
       } else if (arg == "--max-line" && i + 1 < argc) {
         auto line_arg = ParseByteSize(argv[++i]);
-        if (!line_arg.ok()) return Fail(line_arg.status().message());
-        if (*line_arg < 1) return Fail("batch --max-line must be >= 1");
+        if (!line_arg.ok()) return UsageError(line_arg.status().message());
+        if (*line_arg < 1) {
+          return UsageError("batch --max-line must be >= 1");
+        }
         max_line_bytes = static_cast<size_t>(*line_arg);
       } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-        return Fail("batch: unknown flag '" + arg +
-                    "' (supported: --threads N, --cache N, --max-line B)");
+        return UsageError(
+            "batch: unknown flag '" + arg +
+            "' (supported: --threads N, --cache N, --max-line B)");
       } else if (batch_path.empty()) {
         batch_path = arg;
       } else {
-        return Fail("batch: takes one <file> (or '-' for stdin)");
+        return UsageError("batch: takes one <file> (or '-' for stdin)");
       }
     }
-    if (batch_path.empty()) return Fail("batch needs <file> (or '-')");
+    if (batch_path.empty()) return UsageError("batch needs <file> (or '-')");
     return CmdBatch(batch_path, threads, cache_capacity, max_line_bytes);
   }
 
@@ -555,51 +568,67 @@ int RunCommand(const std::vector<std::string>& args) {
       } else if (arg == "--werror") {
         werror = true;
       } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("lint: unknown flag '" + arg +
-                    "' (supported: --json, --sarif, --werror)");
+        return UsageError("lint: unknown flag '" + arg +
+                          "' (supported: --json, --sarif, --werror)");
       } else {
         files.push_back(arg);
       }
     }
-    if (files.empty()) return Fail("lint needs at least one <file>");
+    if (files.empty()) return UsageError("lint needs at least one <file>");
     return CmdLint(files, output, werror);
   }
 
-  // Numeric arguments are validated before any file I/O, so a malformed
-  // invocation fails fast with a usage message.
+  // Arguments are validated before any file I/O, so a malformed
+  // invocation fails fast with a usage message and exit 2.
   int project_m = 0;
   int simulate_steps = 0;
   EraEmptinessOptions empty_options;
   empty_options.governor = &g_governor;
   if (command == "project") {
-    if (argc < 4) return Fail("project needs <m>");
+    if (argc < 4) return UsageError("project needs <m>");
     auto m = ParseIntArg("project <m>", argv[3]);
-    if (!m.ok()) return Fail(m.status().message());
+    if (!m.ok()) return UsageError(m.status().message());
     project_m = *m;
   } else if (command == "simulate") {
-    if (argc < 4) return Fail("simulate needs <steps>");
+    if (argc < 4) return UsageError("simulate needs <steps>");
     auto steps = ParseIntArg("simulate <steps>", argv[3]);
-    if (!steps.ok()) return Fail(steps.status().message());
-    if (*steps < 0) return Fail("simulate <steps> must be >= 0");
+    if (!steps.ok()) return UsageError(steps.status().message());
+    if (*steps < 0) return UsageError("simulate <steps> must be >= 0");
     simulate_steps = *steps;
   } else if (command == "empty") {
     for (int i = 3; i < argc; ++i) {
       if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
         auto threads = ParseIntArg("--threads", argv[i + 1]);
-        if (!threads.ok()) return Fail(threads.status().message());
-        if (*threads < 0) return Fail("empty --threads must be >= 0");
+        if (!threads.ok()) return UsageError(threads.status().message());
+        if (*threads < 0) {
+          return UsageError("empty --threads must be >= 0");
+        }
         if (*threads > service::kMaxRequestThreads) {
-          return Fail(NumberedName("empty --threads must be <= ",
-                                   service::kMaxRequestThreads) +
-                      " (kMaxRequestThreads)");
+          return UsageError(NumberedName("empty --threads must be <= ",
+                                         service::kMaxRequestThreads) +
+                            " (kMaxRequestThreads)");
         }
         empty_options.num_workers = *threads;
         ++i;
       } else {
-        return Fail("empty: unknown argument '" + std::string(argv[i]) +
-                    "' (supported: --threads N)");
+        return UsageError("empty: unknown argument '" +
+                          std::string(argv[i]) +
+                          "' (supported: --threads N)");
       }
     }
+  } else if (command == "verify") {
+    if (argc < 5) {
+      return UsageError("verify needs <ltl> and at least one <fo>");
+    }
+  } else if (command != "info" && command != "print" && command != "dot" &&
+             command != "lrbound") {
+    return UsageError("unknown command '" + command + "'");
+  }
+  // The other commands take a fixed number of arguments.
+  const int fixed_argc = command == "project" || command == "simulate" ? 4 : 3;
+  if (command != "empty" && command != "verify" && argc > fixed_argc) {
+    return UsageError(command + ": unexpected argument '" +
+                      std::string(argv[fixed_argc]) + "'");
   }
 
   auto era = Load(argv[2]);
@@ -625,13 +654,9 @@ int RunCommand(const std::vector<std::string>& args) {
   if (command == "project") return CmdProject(*era, project_m);
   if (command == "lrbound") return CmdLrBound(*era);
   if (command == "simulate") return CmdSimulate(*era, simulate_steps);
-  if (command == "verify") {
-    if (argc < 5) return Fail("verify needs <ltl> and at least one <fo>");
-    std::vector<std::string> props;
-    for (int i = 4; i < argc; ++i) props.emplace_back(argv[i]);
-    return CmdVerify(*era, argv[3], props);
-  }
-  return Fail("unknown command '" + command + "'");
+  std::vector<std::string> props;  // verify
+  for (int i = 4; i < argc; ++i) props.emplace_back(argv[i]);
+  return CmdVerify(*era, argv[3], props);
 }
 
 int Main(int argc, char** argv) {
