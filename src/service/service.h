@@ -109,8 +109,7 @@ class Service {
 
   // Requests cooperative cancellation of the in-flight request with this
   // id. Returns false when no such request is running (already finished,
-  // or never existed). Thread-safe, callable from signal-watchdog
-  // threads.
+  // or never existed). Thread-safe.
   bool Cancel(const std::string& request_id);
 
   // Cancels every in-flight request (shutdown path). Returns how many

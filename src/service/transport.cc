@@ -8,13 +8,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <istream>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -31,32 +33,13 @@ namespace rav::service {
 
 namespace {
 
+constexpr int kExitOk = 0;
+constexpr int kExitError = 1;
 constexpr int kExitCancelled = 5;
 
 using Clock = std::chrono::steady_clock;
 
 }  // namespace
-
-// --- bounded line reading -------------------------------------------------
-
-ReadLineStatus ReadBoundedLine(std::istream& in, std::string* line,
-                               size_t max_bytes) {
-  line->clear();
-  char ch = 0;
-  while (in.get(ch)) {
-    if (ch == '\n') return ReadLineStatus::kOk;
-    if (line->size() >= max_bytes) {
-      // Discard the rest of the oversized line without buffering it, so
-      // the stream stays usable for the next request.
-      line->clear();
-      while (in.get(ch) && ch != '\n') {
-      }
-      return ReadLineStatus::kTooLarge;
-    }
-    line->push_back(ch);
-  }
-  return line->empty() ? ReadLineStatus::kEof : ReadLineStatus::kOk;
-}
 
 // --- shutdown arbitration -------------------------------------------------
 
@@ -123,8 +106,10 @@ class SocketTransport::Impl {
   }
 
   Status Listen();
+  void AddStream(int in_fd, int out_fd);
   int Serve();
   int bound_port() const { return bound_port_; }
+  ResponseCounts response_counts() const { return responses_; }
 
  private:
   // One admitted-but-unfinished request handed to the worker pool.
@@ -137,10 +122,15 @@ class SocketTransport::Impl {
     uint64_t conn_id = 0;
     std::string request_id;
     std::string line;
+    bool ok = false;
   };
 
   struct Connection {
-    int fd = -1;
+    int in_fd = -1;  // an accepted socket reads and writes one fd
+    int out_fd = -1;
+    // A caller's byte stream (AddStream), not an accepted socket: its fds
+    // may block and are not ours to close.
+    bool stream = false;
     uint64_t id = 0;
     std::string read_buf;   // partial request line (bounded)
     bool discarding = false;  // inside an oversized line: skip to '\n'
@@ -158,13 +148,16 @@ class SocketTransport::Impl {
 
   void WorkerLoop();
   void Wake();
+  Connection& AddConnection(int in_fd, int out_fd);
   void AcceptReady();
   void ReadReady(Connection* conn);
   void WriteReady(Connection* conn);
   void ProcessLine(Connection* conn, const std::string& line);
   void RejectOversizedLine(Connection* conn);
+  void AppendResponse(Connection* conn, const std::string& line, bool ok);
   void QueueResponse(Connection* conn, const QueryResponse& response);
   void ApplyCompletions();
+  bool AdmissionQueueFull();
   void CloseConnection(uint64_t conn_id, bool cancel_in_flight);
   void BeginDrain();
   bool DrainComplete() const;
@@ -184,7 +177,11 @@ class SocketTransport::Impl {
   int wake_pipe_[2] = {-1, -1};
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, Connection> conns_;
+  ResponseCounts responses_;
   bool draining_ = false;
+  // A stream ended before it finished (its output failed), or poll()
+  // itself failed: Serve() returns kExitError unless it drained.
+  bool failed_ = false;
   Clock::time_point drain_deadline_;
   // Until this instant the listen fd is left out of the poll set — set on
   // persistent accept() failures (EMFILE/ENFILE) that would otherwise
@@ -247,12 +244,11 @@ Status SocketTransport::Impl::Listen() {
     bound_port_ = ntohs(bound.sin_port);
   }
   SetNonBlocking(listen_fd_);
-  if (::pipe(wake_pipe_) != 0) {
-    return Status::Internal(std::string("pipe(): ") + std::strerror(errno));
-  }
-  SetNonBlocking(wake_pipe_[0]);
-  SetNonBlocking(wake_pipe_[1]);
   return Status::OK();
+}
+
+void SocketTransport::Impl::AddStream(int in_fd, int out_fd) {
+  AddConnection(in_fd, out_fd).stream = true;
 }
 
 void SocketTransport::Impl::Wake() {
@@ -297,20 +293,27 @@ void SocketTransport::Impl::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(completion_mu_);
       completions_.push_back(
-          {item.conn_id, response.id, response.ToJsonLine()});
+          {item.conn_id, response.id, response.ToJsonLine(), response.ok});
     }
     Wake();
   }
 }
 
-void SocketTransport::Impl::QueueResponse(Connection* conn,
-                                          const QueryResponse& response) {
-  conn->out += response.ToJsonLine();
+void SocketTransport::Impl::AppendResponse(Connection* conn,
+                                           const std::string& line, bool ok) {
+  conn->out += line;
   conn->out += '\n';
+  ++responses_.total;
+  if (!ok) ++responses_.failed;
   // Buffering a response restarts the idle clock: the peer was waiting,
   // not idling, and must get a chance to read the answer before the
   // reaper may close the connection.
   conn->last_activity = Clock::now();
+}
+
+void SocketTransport::Impl::QueueResponse(Connection* conn,
+                                          const QueryResponse& response) {
+  AppendResponse(conn, response.ToJsonLine(), response.ok);
 }
 
 void SocketTransport::Impl::ApplyCompletions() {
@@ -332,12 +335,25 @@ void SocketTransport::Impl::ApplyCompletions() {
         pending != conn.pending_ids.end()) {
       conn.pending_ids.erase(pending);
     }
-    conn.out += done.line;
-    conn.out += '\n';
-    // The request just finished: restart the idle clock so the reaper
-    // can't close the connection before the answer is even flushed.
-    conn.last_activity = Clock::now();
+    AppendResponse(&conn, done.line, done.ok);
   }
+}
+
+SocketTransport::Impl::Connection& SocketTransport::Impl::AddConnection(
+    int in_fd, int out_fd) {
+  const uint64_t id = next_conn_id_++;
+  Connection& conn = conns_[id];
+  conn.in_fd = in_fd;
+  conn.out_fd = out_fd;
+  conn.id = id;
+  conn.last_activity = Clock::now();
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    live_conns_.insert(id);
+  }
+  RAV_METRIC_COUNT("serve/connections_total", 1);
+  RAV_METRIC_SET("serve/connections", conns_.size());
+  return conn;
 }
 
 void SocketTransport::Impl::AcceptReady() {
@@ -371,17 +387,7 @@ void SocketTransport::Impl::AcceptReady() {
     SetNonBlocking(fd);
     const int enable = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    const uint64_t id = next_conn_id_++;
-    Connection& conn = conns_[id];
-    conn.fd = fd;
-    conn.id = id;
-    conn.last_activity = Clock::now();
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      live_conns_.insert(id);
-    }
-    RAV_METRIC_COUNT("serve/connections_total", 1);
-    RAV_METRIC_SET("serve/connections", conns_.size());
+    AddConnection(fd, fd);
   }
 }
 
@@ -394,18 +400,21 @@ void SocketTransport::Impl::ProcessLine(Connection* conn,
     return;
   }
   // Control ops answer inline on the poll thread — a cancel must reach a
-  // stuck request even when every worker is busy (same contract as the
-  // stdio reader thread).
+  // stuck request even when every worker is busy.
   if (request->op == Op::kCancel || request->op == Op::kStats) {
     QueueResponse(conn, service_->Handle(*request));
     return;
   }
-  // Admission control: a full queue sheds the request immediately with a
-  // structured hint instead of queueing without bound.
+  // Admission control: a full queue sheds a socket's request immediately
+  // with a structured hint instead of queueing without bound. A stream's
+  // request is never shed, as nobody could retry it: the stream's reads
+  // pause while the queue is full instead, so it overshoots the depth by
+  // at most one read chunk.
   bool admitted = false;
   if (!RAV_FAILPOINT("service/transport/admit")) {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_.size() < options_.queue_depth && !queue_closed_) {
+    if ((conn->stream || queue_.size() < options_.queue_depth) &&
+        !queue_closed_) {
       queue_.push_back({*std::move(request), conn->id});
       conn->pending_ids.insert(queue_.back().request.id);
       RAV_METRIC_SET("serve/queue_depth", queue_.size());
@@ -437,17 +446,17 @@ void SocketTransport::Impl::ReadReady(Connection* conn) {
   }
   char chunk[4096];
   for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(conn->in_fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       CloseConnection(conn->id, /*cancel_in_flight=*/true);
       return;
     }
     if (n == 0) {
-      // Half-close: no more requests, but the client still reads — finish
-      // what was admitted, flush, then close. A final line without a
-      // newline is still a request, as ReadBoundedLine reads it, unless
-      // it is the tail of an oversized line being discarded.
+      // Half-close (or a stream's EOF): no more requests, but the client
+      // still reads — finish what was admitted, flush, then close. A final
+      // line without a newline is still a request, unless it is the tail
+      // of an oversized line being discarded.
       conn->read_closed = true;
       if (!conn->discarding && !conn->read_buf.empty()) {
         std::string line;
@@ -484,6 +493,9 @@ void SocketTransport::Impl::ReadReady(Connection* conn) {
         conn->discarding = true;  // skip to the next newline unbuffered
       }
     }
+    // A socket is read until EAGAIN; a stream's fd may block, so it gets
+    // one read per POLLIN.
+    if (conn->stream) return;
   }
 }
 
@@ -510,9 +522,18 @@ void SocketTransport::Impl::WriteReady(Connection* conn) {
     return;
   }
   while (conn->out_pos < conn->out.size()) {
+    size_t length = conn->out.size() - conn->out_pos;
+    // A socket is written until EAGAIN. A stream's fd may block, so it is
+    // written while it polls ready, PIPE_BUF bytes at a time: that much
+    // fits a pipe that polls writable, and a pipe without a reader polls
+    // as an error that the write then reports.
+    if (conn->stream) {
+      pollfd ready{conn->out_fd, POLLOUT, 0};
+      if (::poll(&ready, 1, 0) != 1) break;
+      length = std::min<size_t>(length, PIPE_BUF);
+    }
     const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_pos,
-               conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
+        ::write(conn->out_fd, conn->out.data() + conn->out_pos, length);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       CloseConnection(conn->id, /*cancel_in_flight=*/true);
@@ -532,11 +553,19 @@ void SocketTransport::Impl::WriteReady(Connection* conn) {
   }
 }
 
+bool SocketTransport::Impl::AdmissionQueueFull() {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return queue_.size() >= options_.queue_depth;
+}
+
 void SocketTransport::Impl::CloseConnection(uint64_t conn_id,
                                             bool cancel_in_flight) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Connection& conn = it->second;
+  // A stream is only cut off when its output (or input) failed; one that
+  // finished closes without a cancel.
+  if (conn.stream && cancel_in_flight) failed_ = true;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     live_conns_.erase(conn_id);
@@ -561,7 +590,7 @@ void SocketTransport::Impl::CloseConnection(uint64_t conn_id,
   }
   RAV_METRIC_RECORD("serve/conn_bytes_in", conn.bytes_in);
   RAV_METRIC_RECORD("serve/conn_bytes_out", conn.bytes_out);
-  ::close(conn.fd);
+  if (!conn.stream) ::close(conn.in_fd);
   conns_.erase(it);
   RAV_METRIC_SET("serve/connections", conns_.size());
 }
@@ -620,8 +649,9 @@ void SocketTransport::Impl::EnforceDeadlines(Clock::time_point now) {
     // the client is legitimately waiting on a long query (its runtime is
     // bounded by the request's own governor, not by this reaper). The
     // idle timeout covers keep-alives, half-written request lines, and
-    // readers too slow to drain their responses.
-    if (!conn.pending_ids.empty()) continue;
+    // readers too slow to drain their responses. A stream is never
+    // reaped: nobody could reconnect to it.
+    if (conn.stream || !conn.pending_ids.empty()) continue;
     if (now - conn.last_activity > idle_limit) expired.push_back(id);
   }
   for (uint64_t id : expired) {
@@ -631,8 +661,12 @@ void SocketTransport::Impl::EnforceDeadlines(Clock::time_point now) {
 }
 
 int SocketTransport::Impl::Serve() {
-  RAV_CHECK(listen_fd_ >= 0);  // Listen() first
+  RAV_CHECK(listen_fd_ >= 0 || !conns_.empty());  // Listen()/AddStream()
   std::signal(SIGPIPE, SIG_IGN);
+  if (::pipe2(wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    std::fprintf(stderr, "rav_serve: pipe(): %s\n", std::strerror(errno));
+    return kExitError;
+  }
 
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(options_.threads));
@@ -644,9 +678,11 @@ int SocketTransport::Impl::Serve() {
   std::vector<uint64_t> fd_conn;  // conn id per fds entry (0 = not a conn)
   for (;;) {
     if (!draining_ && arbiter_->drain_requested()) BeginDrain();
+    // With no listener (none, or closed by the drain), the transport ends
+    // with its last connection.
+    if (listen_fd_ < 0 && conns_.empty()) break;
     if (draining_ &&
-        (DrainComplete() || Clock::now() >= drain_deadline_ ||
-         conns_.empty())) {
+        (DrainComplete() || Clock::now() >= drain_deadline_)) {
       break;
     }
 
@@ -659,7 +695,6 @@ int SocketTransport::Impl::Serve() {
       fd_conn.push_back(0);
     }
     for (auto& [id, conn] : conns_) {
-      short events = 0;
       const size_t backlog = conn.out.size() - conn.out_pos;
       // Backpressure with hysteresis: pause reading above the limit and
       // resume only once the backlog drains below half of it, so a peer
@@ -669,14 +704,33 @@ int SocketTransport::Impl::Serve() {
       } else {
         conn.paused = backlog > options_.write_buffer_limit;
       }
-      if (!conn.read_closed && !conn.paused && !draining_) events |= POLLIN;
+      const bool reading = !conn.read_closed && !conn.paused && !draining_;
+      if (conn.stream) {
+        // Each side of a stream is polled only while it has work: a pipe
+        // whose writer closed reports POLLHUP on every poll. Reads also
+        // pause while the admission queue is full.
+        if (reading && !AdmissionQueueFull()) {
+          fds.push_back({conn.in_fd, POLLIN, 0});
+          fd_conn.push_back(id);
+        }
+        if (backlog > 0) {
+          fds.push_back({conn.out_fd, POLLOUT, 0});
+          fd_conn.push_back(id);
+        }
+        continue;
+      }
+      short events = 0;
+      if (reading) events |= POLLIN;
       if (backlog > 0) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
+      fds.push_back({conn.in_fd, events, 0});
       fd_conn.push_back(id);
     }
 
     const int ready = ::poll(fds.data(), fds.size(), 50);
-    if (ready < 0 && errno != EINTR) break;
+    if (ready < 0 && errno != EINTR) {
+      failed_ = true;
+      break;
+    }
 
     // Wake pipe: drain it, then fold in finished responses.
     if ((fds[0].revents & POLLIN) != 0) {
@@ -688,12 +742,23 @@ int SocketTransport::Impl::Serve() {
 
     for (size_t i = 1; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      if (fds[i].fd == listen_fd_ && fd_conn[i] == 0) {
-        AcceptReady();
+      const uint64_t id = fd_conn[i];
+      if (id == 0) {
+        AcceptReady();  // the listener
         continue;
       }
-      const uint64_t id = fd_conn[i];
-      if (id == 0 || conns_.find(id) == conns_.end()) continue;
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      if (it->second.stream) {
+        // Data, EOF and errors all show in the read or the write: a pipe
+        // with no reader left fails the write with EPIPE.
+        if (fds[i].events == POLLIN) {
+          ReadReady(&it->second);
+        } else {
+          WriteReady(&it->second);
+        }
+        continue;
+      }
       if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) {
         CloseConnection(id, /*cancel_in_flight=*/true);
         continue;
@@ -739,9 +804,9 @@ int SocketTransport::Impl::Serve() {
   queue_ready_.notify_all();
   for (std::thread& worker : workers) worker.join();
   ApplyCompletions();
-  // Best-effort final flush of already-buffered responses. WriteReady can
-  // close (and erase) a dead peer's connection, so walk a snapshot of ids,
-  // not conns_ itself.
+  // Best-effort final flush of already-buffered responses, as far as it
+  // goes without blocking. A write can close (and erase) a dead peer's
+  // connection, so walk a snapshot of ids, not conns_ itself.
   std::vector<uint64_t> remaining;
   remaining.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) remaining.push_back(id);
@@ -753,7 +818,8 @@ int SocketTransport::Impl::Serve() {
   for (uint64_t id : remaining) {
     CloseConnection(id, /*cancel_in_flight=*/false);
   }
-  return kExitCancelled;
+  if (draining_) return kExitCancelled;
+  return failed_ ? kExitError : kExitOk;
 }
 
 SocketTransport::SocketTransport(Service* service, ShutdownArbiter* arbiter,
@@ -764,8 +830,16 @@ SocketTransport::~SocketTransport() = default;
 
 Status SocketTransport::Listen() { return impl_->Listen(); }
 
+void SocketTransport::AddStream(int in_fd, int out_fd) {
+  impl_->AddStream(in_fd, out_fd);
+}
+
 int SocketTransport::bound_port() const { return impl_->bound_port(); }
 
 int SocketTransport::Serve() { return impl_->Serve(); }
+
+SocketTransport::ResponseCounts SocketTransport::response_counts() const {
+  return impl_->response_counts();
+}
 
 }  // namespace rav::service

@@ -1,28 +1,22 @@
 #ifndef RAV_SERVICE_TRANSPORT_H_
 #define RAV_SERVICE_TRANSPORT_H_
 
-// The hardened serving transports in front of service::Service
-// (docs/serving.md):
+// The serving transport in front of service::Service (docs/serving.md):
 //
-//   * ReadBoundedLine — the JSON-lines reader both stdio frontends
-//     (`rav_serve`, `rav_cli batch`) use: a request line is buffered up
-//     to a cap (default 1 MiB) and an oversized line is discarded and
-//     reported as a structured `request_too_large` rejection instead of
-//     growing without bound;
-//   * ShutdownArbiter — one shutdown state machine shared by the stdio
-//     and socket paths, so the signal contract (first SIGINT/SIGTERM
-//     drains cooperatively, the second kills) cannot drift between
-//     transports;
-//   * SocketTransport — a poll-driven TCP acceptor with per-connection
-//     state machines speaking the same JSON-lines wire format as stdio,
-//     plus the production hardening stdio cannot need: an admission
-//     controller (bounded request queue; overflow is answered
-//     immediately with a structured `overloaded` rejection carrying a
-//     `retry_after_ms` hint), per-connection backpressure (bounded
-//     write buffers; a slow reader stalls only its own connection,
-//     never a worker thread), idle/read deadlines, and graceful drain
-//     (stop accepting, truthfully finish or truncate in-flight requests
-//     via their ExecutionGovernors, flush, exit 5).
+//   * ShutdownArbiter — the drain flag behind the signal contract (first
+//     SIGINT/SIGTERM drains cooperatively, the second kills);
+//   * SocketTransport — one poll loop with per-connection state machines
+//     speaking JSON lines over accepted TCP connections and over byte
+//     streams (stdin/stdout for `rav_serve`, a batch file for
+//     `rav_cli batch`): bounded request lines (`request_too_large`), an
+//     admission controller (bounded request queue; a socket's overflow is
+//     answered immediately with a structured `overloaded` rejection
+//     carrying a `retry_after_ms` hint, a stream's reads pause instead),
+//     per-connection backpressure (bounded write buffers; a slow reader
+//     stalls only its own connection, never a worker thread), idle
+//     deadlines for sockets, and graceful drain (stop accepting,
+//     truthfully finish or truncate in-flight requests via their
+//     ExecutionGovernors, flush, exit 5).
 //
 // Failpoint sites (docs/robustness.md): service/transport/accept,
 // service/transport/read, service/transport/write,
@@ -31,8 +25,8 @@
 // byte histograms serve/conn_bytes_{in,out} recorded at close.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -42,30 +36,13 @@
 
 namespace rav::service {
 
-// Cap on one buffered JSON-lines request (1 MiB). Shared by the stdio
-// readers and the socket transport so `--max-line` means the same thing
-// everywhere.
+// Cap on one buffered JSON-lines request (1 MiB), on sockets and streams
+// alike.
 inline constexpr size_t kDefaultMaxRequestLineBytes = size_t{1} << 20;
 
-enum class ReadLineStatus {
-  kOk,        // *line holds one complete request line (newline stripped)
-  kEof,       // stream ended with no further line
-  kTooLarge,  // line exceeded max_bytes: buffered prefix discarded, the
-              // stream consumed up to (and including) the newline
-};
-
-// Bounded replacement for std::getline: never buffers more than
-// `max_bytes` of one line. On kTooLarge the rest of the offending line
-// is consumed (not buffered) so the caller can reject it and keep
-// reading the stream. A final unterminated line still reads as kOk.
-ReadLineStatus ReadBoundedLine(std::istream& in, std::string* line,
-                               size_t max_bytes);
-
-// Arbitrates shutdown between the signal handler, the reader/acceptor,
-// and whatever thread performs the actual wind-down. Exactly one caller
-// wins Claim(); everyone else defers. The process-wide instance backs
-// the signal wiring; tests construct their own and call RequestDrain()
-// programmatically.
+// The drain flag the signal handlers set and the transport polls. The
+// process-wide instance backs the signal wiring; tests construct their
+// own and call RequestDrain() programmatically.
 class ShutdownArbiter {
  public:
   // Cooperative drain requested (signal-handler safe: one relaxed store).
@@ -73,10 +50,6 @@ class ShutdownArbiter {
   bool drain_requested() const {
     return drain_.load(std::memory_order_relaxed);
   }
-
-  // True for exactly the first caller: that caller owns the wind-down
-  // (joining workers, flushing, choosing the exit code).
-  bool Claim() { return !claimed_.exchange(true); }
 
   // The instance the installed signal handlers drain.
   static ShutdownArbiter& Process();
@@ -89,7 +62,6 @@ class ShutdownArbiter {
 
  private:
   std::atomic<bool> drain_{false};
-  std::atomic<bool> claimed_{false};
 };
 
 struct TransportOptions {
@@ -97,14 +69,14 @@ struct TransportOptions {
   int port = 0;                    // 0 = ephemeral (bound_port() tells)
   int threads = kDefaultServeThreads;  // worker threads executing requests
   // Admission control: at most this many parsed requests queued for the
-  // workers; overflow is shed immediately with `overloaded` +
+  // workers; a socket's overflow is shed immediately with `overloaded` +
   // retry_after_ms instead of queueing without bound.
   size_t queue_depth = 256;
   long long retry_after_ms = 50;  // hint stamped on shed rejections
   size_t max_line_bytes = kDefaultMaxRequestLineBytes;
-  // A connection with no socket activity (no bytes in or out) for this
-  // long is closed — covers idle keep-alives, half-written request lines
-  // (slow loris), and readers too slow to drain their responses.
+  // A socket with no activity (no bytes in or out) for this long is
+  // closed — covers idle keep-alives, half-written request lines (slow
+  // loris), and readers too slow to drain their responses.
   long long idle_timeout_ms = 30000;
   // Per-connection write-buffer high-water mark: above it the transport
   // stops READING that connection (its own requests stall) until the
@@ -121,8 +93,8 @@ struct TransportOptions {
 // options->port.
 Status ParseListenAddress(const std::string& text, TransportOptions* options);
 
-// The poll-driven TCP frontend. Single-threaded I/O (one poll loop owns
-// every socket) over a bounded worker pool calling Service::Handle;
+// The poll-driven frontend. Single-threaded I/O (one poll loop owns every
+// socket and stream) over a bounded worker pool calling Service::Handle;
 // workers hand finished responses back to the poll loop, so a dead or
 // slow connection can only ever cost the loop a closed fd, never a
 // blocked worker.
@@ -140,13 +112,35 @@ class SocketTransport {
   Status Listen();
   int bound_port() const;
 
+  // Adds a byte stream: requests are read from `in_fd` and answered on
+  // `out_fd` (stdin and stdout, or an opened batch file and stdout). The
+  // fds stay the caller's: the transport neither closes them nor changes
+  // their flags, so it reads a stream once per POLLIN and writes it
+  // PIPE_BUF bytes at a time while it polls ready. Nobody can retry or
+  // reconnect on a stream, so it is never shed (its reads pause while
+  // the admission queue is full, and the pipe pushes back on the writer)
+  // and never reaped as idle. Call before Serve().
+  void AddStream(int in_fd, int out_fd);
+
   // Serves until the arbiter requests a drain, then winds down: stops
   // accepting, rejects queued-but-unstarted requests (`shutting_down`),
   // cooperatively cancels in-flight ones (their governors trip and they
   // answer truthfully truncated), flushes every connection's responses
   // (bounded by drain_timeout_ms), and returns the documented exit code
-  // 5. Call Listen() first.
+  // 5. Without a listener it also returns when its last stream ends: 0
+  // once every stream reached EOF and flushed its answers, 1 when a
+  // stream's output failed (its reader went away; that stream's
+  // in-flight work is cancelled and its queued work dropped). Call
+  // Listen() or AddStream() first.
   int Serve();
+
+  // Responses queued so far, and how many of them were ok:false — read
+  // after Serve() returns.
+  struct ResponseCounts {
+    size_t total = 0;
+    size_t failed = 0;
+  };
+  ResponseCounts response_counts() const;
 
  private:
   class Impl;

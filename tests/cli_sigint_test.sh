@@ -1,16 +1,16 @@
 #!/bin/sh
 # Exercises rav_cli's SIGINT contract end to end (docs/robustness.md):
 #
-#   first Ctrl-C   cooperative cancel — the run winds down at the next
-#                  safe point and exits 5 (cancelled)
+#   first Ctrl-C   cooperative drain — the run winds down and exits 5
+#                  (cancelled)
 #   second Ctrl-C  the handler restored SIG_DFL on the first one, so the
 #                  second kills the process (exit 128+SIGINT = 130)
 #
-# The vehicle is `rav_cli batch -` reading from a FIFO this script holds
-# open: the process is deterministically alive (blocked in the read
-# phase) when each signal lands, so neither case races the run's natural
-# completion — the flaw with signalling a bounded search, which finishes
-# in tens of milliseconds.
+# The vehicle is `rav_cli batch` writing its answers into a FIFO that this
+# script holds open but does not read: 2,000 `stats` answers (about 1 MB)
+# do not fit the pipe buffer, and a drain finishes only once every answer
+# is flushed, so the process is deterministically alive when each signal
+# lands — neither case races the run's natural completion.
 #
 # Usage: cli_sigint_test.sh <rav_cli> <scratch-dir>
 set -u
@@ -21,6 +21,8 @@ mkdir -p "$WORK"
 
 fail() {
   echo "cli_sigint_test: FAIL: $1" >&2
+  [ -n "${pid:-}" ] && kill -9 "$pid" 2>/dev/null
+  [ -n "${reader:-}" ] && kill "$reader" 2>/dev/null
   exit 1
 }
 
@@ -28,47 +30,48 @@ require_alive() {
   kill -0 "$1" 2>/dev/null || fail "$2"
 }
 
-# --- case 1: one SIGINT -> cooperative cancel -> exit 5 -----------------
-FIFO="$WORK/requests.fifo"
-rm -f "$FIFO"
-mkfifo "$FIFO" || fail "cannot create FIFO"
+REQUESTS="$WORK/requests.jsonl"
+yes '{"id":"s","op":"stats"}' | head -n 2000 >"$REQUESTS"
+FIFO="$WORK/responses.fifo"
 
-"$CLI" batch - <"$FIFO" >/dev/null 2>&1 &
-pid=$!
-# Hold the write end open so the batch reader stays blocked.
-exec 3>"$FIFO"
-printf '{"id":"r1","op":"stats"}\n' >&3
+# Starts batch with its stdout on a fresh FIFO whose read end this script
+# holds (fd 4, opened read-write so neither open blocks) without reading.
+start_batch() {
+  rm -f "$FIFO"
+  mkfifo "$FIFO" || fail "cannot create FIFO"
+  exec 4<>"$FIFO"
+  "$CLI" batch "$REQUESTS" >"$FIFO" 2>/dev/null &
+  pid=$!
+  sleep 0.3
+  require_alive "$pid" "batch finished before the first SIGINT"
+}
 
-sleep 0.3
-require_alive "$pid" "batch finished before the first SIGINT"
+# --- case 1: one SIGINT -> cooperative drain -> exit 5 ------------------
+start_batch
 kill -INT "$pid"
 sleep 0.3
-# Cooperative: the handler only sets a flag; the process must still be
-# draining/blocked, not signal-killed.
+# Cooperative: the handler only sets a flag; the drain is still waiting
+# to flush its answers, not signal-killed.
 require_alive "$pid" "first SIGINT killed the process (should be cooperative)"
-exec 3>&-   # EOF: the reader wakes, sees the cancel, winds down
+cat <&4 >/dev/null &   # read the answers: the flush completes
+reader=$!
 wait "$pid"
 got=$?
+kill "$reader" 2>/dev/null
+reader=""
+exec 4>&-
 [ "$got" -eq 5 ] || fail "single SIGINT: exit $got, want 5 (cancelled)"
-echo "-- single SIGINT: cooperative cancel, exit 5"
+echo "-- single SIGINT: cooperative drain, exit 5"
 
 # --- case 2: two SIGINTs -> default disposition -> killed (130) ---------
-rm -f "$FIFO"
-mkfifo "$FIFO" || fail "cannot create FIFO"
-
-"$CLI" batch - <"$FIFO" >/dev/null 2>&1 &
-pid=$!
-exec 3>"$FIFO"
-
-sleep 0.3
-require_alive "$pid" "batch finished before the second-SIGINT case"
-kill -INT "$pid"          # handler: cancel + restore SIG_DFL
+start_batch
+kill -INT "$pid"          # handler: drain + restore SIG_DFL
 sleep 0.3
 require_alive "$pid" "process died after one SIGINT in the double case"
 kill -INT "$pid"          # default disposition now: kill
 wait "$pid"
 got=$?
-exec 3>&-
+exec 4>&-
 rm -f "$FIFO"
 [ "$got" -eq 130 ] || fail "double SIGINT: exit $got, want 130 (killed)"
 echo "-- double SIGINT: SIG_DFL restored, killed with 130"

@@ -30,8 +30,9 @@
 //
 // Request streams (mutated request lines joined with '\n', with empty and
 // over-long lines mixed in and the final newline sometimes dropped), read
-// by service::ReadBoundedLine at a random max_bytes in [1, 512], must
-// match a split of the stream on '\n':
+// by testing::ReadBoundedLine (the framing oracle of the serving
+// transport's tests) at a random max_bytes in [1, 512], must match a
+// split of the stream on '\n':
 //
 //   1. every kOk line equals its piece and is at most max_bytes long;
 //   2. every longer piece reads as exactly one kTooLarge, and the next
@@ -57,7 +58,6 @@
 #include "io/text_format.h"
 #include "service/request.h"
 #include "service/service.h"
-#include "service/transport.h"
 #include "test_util.h"
 
 namespace rav {
@@ -409,22 +409,22 @@ TEST(FuzzSmoke, BoundedLineReaderMatchesASplitOnNewlines) {
     std::istringstream in(stream);
     std::string line;
     for (const std::string& piece : SplitLines(stream)) {
-      const service::ReadLineStatus status =
-          service::ReadBoundedLine(in, &line, max_bytes);
+      const testing::ReadLineStatus status =
+          testing::ReadBoundedLine(in, &line, max_bytes);
       if (piece.size() <= max_bytes) {
         ++ok_lines;
-        ASSERT_EQ(status, service::ReadLineStatus::kOk)
+        ASSERT_EQ(status, testing::ReadLineStatus::kOk)
             << "max_bytes " << max_bytes << ", stream\n" << stream;
         ASSERT_EQ(line, piece) << "max_bytes " << max_bytes;
       } else {
         ++too_large_lines;
-        ASSERT_EQ(status, service::ReadLineStatus::kTooLarge)
+        ASSERT_EQ(status, testing::ReadLineStatus::kTooLarge)
             << "max_bytes " << max_bytes << ", stream\n" << stream;
         ASSERT_TRUE(line.empty()) << "the discarded prefix leaked back";
       }
     }
-    ASSERT_EQ(service::ReadBoundedLine(in, &line, max_bytes),
-              service::ReadLineStatus::kEof)
+    ASSERT_EQ(testing::ReadBoundedLine(in, &line, max_bytes),
+              testing::ReadLineStatus::kEof)
         << "max_bytes " << max_bytes << ", stream\n" << stream;
   }
   // Both outcomes stay exercised.

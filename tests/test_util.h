@@ -1,7 +1,9 @@
 #ifndef RAV_TESTS_TEST_UTIL_H_
 #define RAV_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
 #include <initializer_list>
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,38 @@ inline std::string PumpOnlyEmptySpecText() {
   for (int i = 1; i < 24; ++i) spec += " .";
   spec += "\"\n}\n";
   return spec;
+}
+
+enum class ReadLineStatus {
+  kOk,        // *line holds one complete request line (newline stripped)
+  kEof,       // stream ended with no further line
+  kTooLarge,  // line exceeded max_bytes: buffered prefix discarded, the
+              // stream consumed up to (and including) the newline
+};
+
+// The reference framing of a JSON-lines request stream, a bounded
+// std::getline: never buffers more than `max_bytes` of one line. On
+// kTooLarge the rest of the offending line is consumed (not buffered) so
+// reading resumes at the next line. A final unterminated line still reads
+// as kOk. The serving transport frames its recv/read chunks itself; this
+// reader is the oracle its framing is checked against
+// (SocketTransportTest.FramingMatchesTheStdioReader) and is fuzzed in
+// fuzz_smoke.cc.
+inline ReadLineStatus ReadBoundedLine(std::istream& in, std::string* line,
+                                      size_t max_bytes) {
+  line->clear();
+  char ch = 0;
+  while (in.get(ch)) {
+    if (ch == '\n') return ReadLineStatus::kOk;
+    if (line->size() >= max_bytes) {
+      line->clear();
+      while (in.get(ch) && ch != '\n') {
+      }
+      return ReadLineStatus::kTooLarge;
+    }
+    line->push_back(ch);
+  }
+  return line->empty() ? ReadLineStatus::kEof : ReadLineStatus::kOk;
 }
 
 // Success iff `got` and `want` are the same DFA state for state: same

@@ -1,9 +1,10 @@
-// Tests for the hardened socket transport (service/transport.h): the
-// bounded line reader, the shared shutdown arbiter, listen-address
-// parsing, and the poll-driven TCP frontend itself — concurrent clients
-// over loopback, queue-overflow shedding with a retry hint, slow-reader
-// backpressure isolation, mid-request disconnect cancellation, and the
-// graceful-drain contract (docs/serving.md).
+// Tests for the serving transport (service/transport.h): the reference
+// line reader its framing is checked against, listen-address parsing,
+// and the poll-driven frontend itself — concurrent clients over
+// loopback, queue-overflow shedding with a retry hint, slow-reader
+// backpressure isolation, mid-request disconnect cancellation, the
+// graceful-drain contract, and byte streams over pipes (never shed,
+// never reaped, ended by EOF or a closed output) (docs/serving.md).
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,8 @@ namespace rav::service {
 namespace {
 
 using namespace std::chrono_literals;
+using testing::ReadBoundedLine;
+using testing::ReadLineStatus;
 
 // The ping-pong fixture (same inline spec service_test.cc uses).
 const char kPingPong[] = R"(automaton {
@@ -68,7 +71,7 @@ std::string EmptyRequest(const std::string& id, const std::string& spec,
          JsonEscape(spec) + "\"" + extra + "}";
 }
 
-// --- ReadBoundedLine --------------------------------------------------------
+// --- ReadBoundedLine, the framing oracle ----------------------------------
 
 TEST(ReadBoundedLineTest, ReadsLinesAndSignalsEof) {
   std::istringstream in("first\nsecond\n");
@@ -105,17 +108,6 @@ TEST(ReadBoundedLineTest, LineExactlyAtTheCapIsAccepted) {
   EXPECT_EQ(line, "12345678");
 }
 
-// --- ShutdownArbiter --------------------------------------------------------
-
-TEST(ShutdownArbiterTest, ExactlyOneClaimWins) {
-  ShutdownArbiter arbiter;
-  EXPECT_FALSE(arbiter.drain_requested());
-  arbiter.RequestDrain();
-  EXPECT_TRUE(arbiter.drain_requested());
-  EXPECT_TRUE(arbiter.Claim());
-  EXPECT_FALSE(arbiter.Claim());  // the wind-down has exactly one owner
-}
-
 // --- ParseListenAddress -----------------------------------------------------
 
 TEST(ParseListenAddressTest, AcceptsDottedIPv4WithPort) {
@@ -147,6 +139,39 @@ const Json& Field(const Json& doc, std::string_view key) {
   if (field != nullptr) return *field;
   ADD_FAILURE() << "response field missing: " << key;
   return kMissing;
+}
+
+// Reads one line from `fd` (a socket or a pipe), keeping the bytes after
+// it in `buffer`, waiting up to `timeout`. Empty on timeout or EOF.
+std::string ReadLineFrom(int fd, std::string* buffer,
+                         std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const size_t newline = buffer->find('\n');
+    if (newline != std::string::npos) {
+      std::string line = buffer->substr(0, newline);
+      buffer->erase(0, newline + 1);
+      return line;
+    }
+    const auto remaining = deadline - std::chrono::steady_clock::now();
+    if (remaining <= 0ms) return "";
+    pollfd poller{fd, POLLIN, 0};
+    const int wait_ms = static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
+            .count());
+    if (::poll(&poller, 1, std::max(wait_ms, 1)) <= 0) continue;
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) return "";  // EOF or error
+    buffer->append(chunk, static_cast<size_t>(n));
+  }
+}
+
+// Parses one response line into the report-JSON DOM.
+Json ParseJsonLine(const std::string& line) {
+  auto parsed = Json::Parse(line);
+  EXPECT_TRUE(parsed.ok()) << "unparseable response: '" << line << "'";
+  return parsed.ok() ? *parsed : Json::Object();
 }
 
 // A blocking loopback JSON-lines client for the tests.
@@ -185,34 +210,11 @@ class Client {
   // Reads one response line, waiting up to `timeout`. Empty on timeout
   // or EOF.
   std::string ReadLine(std::chrono::milliseconds timeout = 30000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      const auto remaining = deadline - std::chrono::steady_clock::now();
-      if (remaining <= 0ms) return "";
-      pollfd poller{fd_, POLLIN, 0};
-      const int wait_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-              .count());
-      if (::poll(&poller, 1, std::max(wait_ms, 1)) <= 0) continue;
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";  // EOF or error
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
+    return ReadLineFrom(fd_, &buffer_, timeout);
   }
 
-  // Parses one response line into the report-JSON DOM.
   Json ReadJson(std::chrono::milliseconds timeout = 30000ms) {
-    const std::string line = ReadLine(timeout);
-    auto parsed = Json::Parse(line);
-    EXPECT_TRUE(parsed.ok()) << "unparseable response: '" << line << "'";
-    return parsed.ok() ? *parsed : Json::Object();
+    return ParseJsonLine(ReadLine(timeout));
   }
 
   // Abortive close: RST instead of FIN, so the server sees a torn
@@ -235,33 +237,72 @@ class Client {
   std::string buffer_;
 };
 
-// Runs a SocketTransport on an ephemeral loopback port with its own
-// arbiter (never the process-wide one — tests must not install signal
-// state) and serves on a background thread.
+enum class Serving { kSocket, kStream };
+
+// Runs a SocketTransport with its own arbiter (never the process-wide one
+// — tests must not install signal state) and serves on a background
+// thread: on an ephemeral loopback port, or on one byte stream over two
+// pipes, as rav_serve serves stdin and stdout.
 class TransportFixture {
  public:
-  explicit TransportFixture(TransportOptions options) {
+  explicit TransportFixture(TransportOptions options,
+                            Serving serving = Serving::kSocket) {
     options.host = "127.0.0.1";
     options.port = 0;
     service_ = std::make_unique<Service>(ServiceOptions{});
     transport_ =
         std::make_unique<SocketTransport>(service_.get(), &arbiter_, options);
-    Status listening = transport_->Listen();
-    EXPECT_TRUE(listening.ok()) << listening.ToString();
+    if (serving == Serving::kStream) {
+      EXPECT_EQ(::pipe(requests_), 0);
+      EXPECT_EQ(::pipe(responses_), 0);
+      transport_->AddStream(requests_[0], responses_[1]);
+    } else {
+      Status listening = transport_->Listen();
+      EXPECT_TRUE(listening.ok()) << listening.ToString();
+    }
     serve_thread_ = std::thread([this] { exit_code_ = transport_->Serve(); });
   }
 
-  ~TransportFixture() { Drain(); }
+  ~TransportFixture() {
+    CloseInput();
+    Drain();
+    for (int fd : {requests_[0], responses_[0], responses_[1]}) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
 
   int port() const { return transport_->bound_port(); }
   Service& service() { return *service_; }
   ShutdownArbiter& arbiter() { return arbiter_; }
+  SocketTransport& transport() { return *transport_; }
 
   // Requests the drain and returns Serve()'s exit code.
   int Drain() {
     arbiter_.RequestDrain();
+    return Join();
+  }
+
+  // Waits for Serve() to return on its own and returns its exit code.
+  int Join() {
     if (serve_thread_.joinable()) serve_thread_.join();
     return exit_code_;
+  }
+
+  // The client side of the stream: its request pipe's write end and its
+  // response pipe's read end.
+  void Send(const std::string& line) {
+    const std::string bytes = line + "\n";
+    for (size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n =
+          ::write(requests_[1], bytes.data() + sent, bytes.size() - sent);
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  }
+  void CloseInput() { CloseFd(&requests_[1]); }   // EOF for the transport
+  void CloseOutput() { CloseFd(&responses_[0]); }  // the reader goes away
+  Json ReadJson(std::chrono::milliseconds timeout = 30000ms) {
+    return ParseJsonLine(ReadLineFrom(responses_[0], &buffer_, timeout));
   }
 
   // Blocks until the service reports `count` in-flight requests — the
@@ -285,11 +326,19 @@ class TransportFixture {
   }
 
  private:
+  static void CloseFd(int* fd) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+
   ShutdownArbiter arbiter_;
   std::unique_ptr<Service> service_;
   std::unique_ptr<SocketTransport> transport_;
   std::thread serve_thread_;
   int exit_code_ = -1;
+  int requests_[2] = {-1, -1};
+  int responses_[2] = {-1, -1};
+  std::string buffer_;
 };
 
 TEST(SocketTransportTest, AnswersRequestsAndEchoesIds) {
@@ -654,6 +703,121 @@ TEST(SocketTransportTest, IdleConnectionsAreReaped) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
 }
 
+// --- Streams -----------------------------------------------------------------
+
+TEST(StreamTransportTest, DrainAnswersQueuedRequestsShuttingDown) {
+  TransportOptions options;
+  options.threads = 1;
+  TransportFixture stream{options, Serving::kStream};
+  stream.Send(EmptyRequest("inflight", testing::PumpOnlyEmptySpecText()));
+  ASSERT_TRUE(stream.WaitForInFlight(1));
+  constexpr int kQueued = 4;
+  for (int i = 0; i < kQueued; ++i) {
+    stream.Send(EmptyRequest(NumberedName("queued", i),
+                             testing::PumpOnlyEmptySpecText()));
+  }
+  // `stats` answers inline once the lines before it were read and queued.
+  stream.Send(R"({"id": "sync", "op": "stats"})");
+  EXPECT_EQ(Field(stream.ReadJson(), "id").string_value(), "sync");
+
+  // The input stays open: the drain, not EOF, ends the stream. Every
+  // request behind the busy worker is answered `shutting_down`, the one
+  // in flight truthfully truncated.
+  stream.arbiter().RequestDrain();
+  std::set<std::string> shutting_down;
+  for (int i = 0; i <= kQueued; ++i) {
+    Json answer = stream.ReadJson();
+    EXPECT_EQ(Field(answer, "exit_equivalent").number_value(), 5);
+    const std::string id = Field(answer, "id").string_value();
+    if (id == "inflight") {
+      EXPECT_EQ(Field(answer, "error_kind").string_value(), "governor_trip");
+    } else {
+      EXPECT_EQ(Field(answer, "error_kind").string_value(), "shutting_down");
+      shutting_down.insert(id);
+    }
+  }
+  EXPECT_EQ(shutting_down.size(), static_cast<size_t>(kQueued));
+  EXPECT_EQ(stream.Join(), 5);
+}
+
+TEST(StreamTransportTest, MoreRequestsThanTheQueueHoldsAreAllAnswered) {
+  // A socket would shed most of these `overloaded`; a stream's reads
+  // pause instead, so every request is answered.
+  TransportOptions options;
+  options.threads = 1;
+  options.queue_depth = 2;
+  TransportFixture stream{options, Serving::kStream};
+  constexpr int kRequests = 40;
+  for (int i = 0; i < kRequests; ++i) {
+    stream.Send(EmptyRequest(NumberedName("q", i), kPingPong));
+  }
+  stream.CloseInput();
+  std::set<std::string> answered;
+  for (int i = 0; i < kRequests; ++i) {
+    Json answer = stream.ReadJson();
+    EXPECT_TRUE(Field(answer, "ok").bool_value());
+    EXPECT_EQ(answer.Find("error_kind"), nullptr);
+    answered.insert(Field(answer, "id").string_value());
+  }
+  EXPECT_EQ(answered.size(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(stream.Join(), 0);
+  EXPECT_EQ(stream.transport().response_counts().total,
+            static_cast<size_t>(kRequests));
+  EXPECT_EQ(stream.transport().response_counts().failed, 0u);
+}
+
+TEST(StreamTransportTest, IdleStreamStaysOpen) {
+  TransportOptions options;
+  options.idle_timeout_ms = 50;
+  TransportFixture stream{options, Serving::kStream};
+  // Several idle periods pass with no traffic; nobody could reconnect to
+  // a stream, so the reaper leaves it alone.
+  std::this_thread::sleep_for(300ms);
+  stream.Send(R"({"id": "late", "op": "stats"})");
+  EXPECT_EQ(Field(stream.ReadJson(5000ms), "id").string_value(), "late");
+  stream.CloseInput();
+  EXPECT_EQ(stream.Join(), 0);
+}
+
+TEST(StreamTransportTest, EofWithNothingPendingReturnsZero) {
+  TransportFixture stream{TransportOptions{}, Serving::kStream};
+  stream.CloseInput();
+  EXPECT_EQ(stream.Join(), 0);
+  EXPECT_EQ(stream.transport().response_counts().total, 0u);
+}
+
+TEST(StreamTransportTest, ResponseCountsTallyEveryAnswerAndFailure) {
+  TransportOptions options;
+  options.max_line_bytes = 256;
+  TransportFixture stream{options, Serving::kStream};
+  stream.Send(R"({"id": "good", "op": "stats"})");
+  stream.Send(R"({"id": "bad", "op": "no-such-op"})");
+  stream.Send(std::string(300, 'x'));
+  stream.Send(EmptyRequest("query", kPingPong));
+  stream.CloseInput();
+  EXPECT_EQ(stream.Join(), 0);
+  EXPECT_EQ(stream.transport().response_counts().total, 4u);
+  EXPECT_EQ(stream.transport().response_counts().failed, 2u);
+}
+
+TEST(StreamTransportTest, ClosedOutputCancelsInFlightWorkAndReturnsOne) {
+  TransportOptions options;
+  options.threads = 1;
+  TransportFixture stream{options, Serving::kStream};
+  stream.Send(EmptyRequest("doomed", testing::PumpOnlyEmptySpecText()));
+  ASSERT_TRUE(stream.WaitForInFlight(1));
+  // The reader goes away; the next answer's write fails, which ends the
+  // stream with exit 1 and cancels what it still had running.
+  stream.CloseOutput();
+  stream.Send(R"({"id": "s", "op": "stats"})");
+  EXPECT_EQ(stream.Join(), 1);
+  QueryRequest stats;
+  stats.id = "after";
+  stats.op = Op::kStats;
+  const QueryResponse after = stream.service().Handle(stats);
+  EXPECT_EQ(Field(after.details, "governor_trips").number_value(), 1);
+}
+
 // --- Socket framing differential -------------------------------------------
 
 // `request` padded with spaces to exactly `cap` bytes, or `cap` bytes of
@@ -696,8 +860,8 @@ std::string FramingLine(std::mt19937& rng, size_t max_line_bytes, int n) {
   }
 }
 
-// The rav_serve stdio reading of a stream, as "id|kind" per answer in
-// order: ReadBoundedLine frames it, an empty line gets no answer, and
+// The reference reading of a stream, as "id|kind" per answer in order:
+// ReadBoundedLine frames it, an empty line gets no answer, and
 // ParseRequest decides the rest (kind is the error_kind, or an answered
 // cancel's verdict). False if a line would go to a worker, whose answer
 // may overtake the inline ones.
@@ -745,7 +909,7 @@ std::vector<std::string> SocketAnswers(Client& client) {
   return answers;
 }
 
-// The socket transport frames a request stream exactly as the stdio
+// The socket transport frames a request stream exactly as the reference
 // reader does: the same lines, at any max_line_bytes in [1, 8192], however
 // the stream is cut into send() pieces, with lines straddling the 4 KiB
 // recv chunk, with or without a final newline. The last stream of each

@@ -21,12 +21,12 @@
 //                                       each <fo> is "xi=yj", "xi!=xj",
 //                                       etc. interpreting proposition pN.
 //   rav_cli batch <file|-> [--threads N] [--cache N] [--max-line B]
-//                                       answer a file of JSON-lines
+//                                       answer a stream of JSON-lines
 //                                       decision-service requests (the
 //                                       rav_serve wire format; see
-//                                       docs/serving.md) concurrently in
-//                                       one process, on N threads (0 = all
-//                                       hardware threads; at most
+//                                       docs/serving.md) as they are read,
+//                                       in one process, on N threads (0 =
+//                                       all hardware threads; at most
 //                                       kMaxRequestThreads = 64). Exit 0
 //                                       if every request was answered ok, 1
 //                                       otherwise.
@@ -65,13 +65,14 @@
 //   4  stopped by the governor: --timeout or --memory-limit tripped
 //   5  cancelled (Ctrl-C / SIGINT)
 
-#include <atomic>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -386,110 +387,63 @@ int CmdVerify(const ExtendedAutomaton& era, const std::string& ltl_text,
 }
 
 // `rav_cli batch <file|-> [--threads N] [--cache N] [--max-line B]`:
-// answers a file of JSON-lines decision-service requests (schema of
-// service/request.h — the same wire format tools/rav_serve speaks)
-// concurrently in one process, one response line per request in
+// answers JSON-lines decision-service requests (schema of
+// service/request.h — the wire format tools/rav_serve speaks) from a
+// file or stdin as one stream of the transport rav_serve serves stdin
+// with: requests are answered as they are read, on N worker threads
+// (`cancel` and `stats` inline), one response line per request in
 // completion order. Exit 0 when every request was answered ok, 1 when
-// any failed, 5 on Ctrl-C. Each request still runs under its OWN
-// governor; the process-wide --timeout/--memory-limit flags are not
-// inherited by batch requests (set per-request "timeout"/"memory_limit"
-// fields instead).
+// any failed or stdout closed, 5 on Ctrl-C/SIGTERM. Each request still
+// runs under its OWN governor; the process-wide --timeout/--memory-limit
+// flags are not inherited by batch requests (set per-request
+// "timeout"/"memory_limit" fields instead).
 int CmdBatch(const std::string& path, int threads, size_t cache_capacity,
              size_t max_line_bytes) {
-  std::ifstream file;
-  std::istream* in = &std::cin;
+  int in_fd = STDIN_FILENO;
   if (path != "-") {
-    file.open(path);
-    if (!file) return Fail("batch: cannot open '" + path + "'");
-    in = &file;
+    in_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in_fd < 0) return Fail("batch: cannot open '" + path + "'");
   }
-
   service::ServiceOptions options;
   options.cache_capacity = cache_capacity;
   service::Service service(options);
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> failures{0};
-  std::mutex stdout_mu;
-
-  auto emit = [&](const service::QueryResponse& response) {
-    if (!response.ok) failures.fetch_add(1);
-    const std::string out = response.ToJsonLine();
-    std::lock_guard<std::mutex> lock(stdout_mu);
-    std::fwrite(out.data(), 1, out.size(), stdout);
-    std::fputc('\n', stdout);
-  };
-
-  // Bounded read of the whole input up front (the batch file is the
-  // work list): an oversized line is rejected at read time with the
-  // same structured `request_too_large` error the serving transports
-  // emit, counted as a failure, and the rest of the file still runs.
-  size_t total_requests = 0;
-  std::vector<std::string> lines;
-  std::string line;
-  for (;;) {
-    const service::ReadLineStatus status =
-        service::ReadBoundedLine(*in, &line, max_line_bytes);
-    if (status == service::ReadLineStatus::kEof) break;
-    if (status == service::ReadLineStatus::kTooLarge) {
-      ++total_requests;
-      emit(service::MakeRejection(
-          {.error_kind = "request_too_large",
-           .resource = "request_line",
-           .message = "request line exceeds --max-line (" +
-                      std::to_string(max_line_bytes) +
-                      " bytes); it was discarded",
-           .exit_equivalent = kExitError}));
-      continue;
-    }
-    if (!line.empty()) {
-      ++total_requests;
-      lines.push_back(line);
-    }
+  service::TransportOptions transport;
+  transport.threads = std::max(threads, 1);
+  transport.max_line_bytes = max_line_bytes;
+  service::ShutdownArbiter::InstallSignalHandlers();
+  // A Ctrl-C that landed before the arbiter took SIGINT over cancelled
+  // g_governor instead: drain at once.
+  if (g_governor.cancel_requested()) {
+    service::ShutdownArbiter::Process().RequestDrain();
   }
-
-  auto worker = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= lines.size()) return;
-      // Ctrl-C (cooperative cancel of the process governor) stops
-      // starting new requests; the watchdog below trips the in-flight
-      // ones.
-      if (g_governor.Check() == GovernorTrip::kCancelled) return;
-      auto request = service::ParseRequest(lines[i]);
-      if (!request.ok()) {
-        emit(service::MakeParseError(lines[i], request.status()));
-        continue;
-      }
-      emit(service.Handle(*request));
-    }
-  };
-
-  std::atomic<bool> done{false};
-  std::thread watchdog([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (g_governor.Check() == GovernorTrip::kCancelled) service.CancelAll();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
-  if (threads < 1) threads = 1;
-  std::vector<std::thread> pool;
-  for (int i = 1; i < threads; ++i) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
-  done.store(true, std::memory_order_relaxed);
-  watchdog.join();
-
-  if (g_governor.Check() == GovernorTrip::kCancelled) {
+  service::SocketTransport server(&service,
+                                  &service::ShutdownArbiter::Process(),
+                                  transport);
+  server.AddStream(in_fd, STDOUT_FILENO);
+  const int code = server.Serve();
+  if (in_fd != STDIN_FILENO) ::close(in_fd);
+  if (code == kExitCancelled) {
+    // The drain signal went to the transport, not to g_governor: record
+    // it there too, so --report names the trip.
+    g_governor.ForceTrip(GovernorTrip::kCancelled);
     g_verdict = "batch cancelled";
-    return kExitCancelled;
+    return code;
   }
-  g_verdict = failures.load() == 0
+  if (code != kExitOk) {
+    g_verdict = "batch stream failed";
+    return Fail("batch: reading the input or writing stdout failed; "
+                "in-flight requests cancelled",
+                code);
+  }
+  const service::SocketTransport::ResponseCounts counts =
+      server.response_counts();
+  g_verdict = counts.failed == 0
                   ? "batch ok"
-                  : "batch with " + std::to_string(failures.load()) +
+                  : NumberedName("batch with ", counts.failed) +
                         " failed request(s)";
   std::fprintf(stderr, "rav_cli: batch: %zu request(s), %zu failed\n",
-               total_requests, failures.load());
-  return failures.load() == 0 ? kExitOk : kExitError;
+               counts.total, counts.failed);
+  return counts.failed == 0 ? kExitOk : kExitError;
 }
 
 int RunCommand(const std::vector<std::string>& args) {

@@ -15,23 +15,28 @@
 //
 //   --threads N     worker threads executing query ops concurrently
 //                   (default service::kDefaultServeThreads = 4; 0 = all
-//                   hardware threads). `cancel` and `stats` are answered
-//                   inline by the reader/poll thread, so a cancel
-//                   reaches a stuck request even when every worker is
-//                   busy.
+//                   hardware threads; at most kMaxRequestThreads = 64).
+//                   `cancel` and `stats` are answered inline by the poll
+//                   thread, so a cancel reaches a stuck request even when
+//                   every worker is busy.
 //   --cache N       compiled-spec cache capacity (default 64).
 //   --max-line B    cap on one buffered request line (default 1m); an
 //                   oversized line is rejected with a structured
 //                   `request_too_large` error instead of buffering
 //                   without bound.
+//   --queue-depth N admission bound (default 256): a socket's overflow
+//                   answers `overloaded` + retry_after_ms; stdin is never
+//                   shed, its reads pause instead.
 //
 // Socket mode (--listen, docs/serving.md "Socket transport"):
 //   --listen A:P    serve TCP on dotted-IPv4 A, port P (0 = ephemeral;
-//                   the bound address is printed to stderr). Adds an
-//                   admission controller (--queue-depth, default 256;
-//                   overflow answers `overloaded` + retry_after_ms),
-//                   per-connection backpressure and idle/read deadlines
+//                   the bound address is printed to stderr), with
+//                   per-connection backpressure and idle deadlines
 //                   (--idle-timeout, default 30s).
+//
+// Without --listen, stdin/stdout is one stream of the same poll
+// transport (service::SocketTransport::AddStream): same framing,
+// admission, backpressure and drain as a socket.
 //
 // Isolation: each request runs under its own ExecutionGovernor armed
 // from the request's "timeout"/"memory_limit"; a request tripping its
@@ -39,26 +44,19 @@
 // leaves concurrent requests untouched (tests/service_test.cc proves
 // this; tools/run_ci.sh smokes it end to end).
 //
-// Shutdown (one ShutdownArbiter shared by both transports, so the
-// signal semantics cannot drift):
-//   * stdio: stdin EOF — drain every accepted request, flush, exit 0;
-//   * first SIGINT/SIGTERM — stop accepting, cancel in-flight requests
-//     cooperatively (they answer truthfully truncated), reject queued
-//     ones, flush, exit 5;
+// Shutdown (the signal contract of service::ShutdownArbiter):
+//   * stdio: stdin EOF — answer every accepted request, flush, exit 0;
+//     a closed stdout cancels in-flight requests and exits 1;
+//   * first SIGINT/SIGTERM — stop reading and accepting, cancel in-flight
+//     requests cooperatively (they answer truthfully truncated), answer
+//     queued ones `shutting_down`, flush, exit 5;
 //   * second SIGINT/SIGTERM — default disposition (kill).
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
+#include <unistd.h>
+
 #include <cstdio>
-#include <cstdlib>
-#include <deque>
-#include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "base/numbers.h"
 #include "service/request.h"
@@ -73,149 +71,8 @@ constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitCancelled = 5;
 
-// Stdout is shared by every worker: one line per response, atomically.
-std::mutex g_stdout_mu;
-
-void EmitResponse(const service::QueryResponse& response) {
-  const std::string line = response.ToJsonLine();
-  std::lock_guard<std::mutex> lock(g_stdout_mu);
-  std::fwrite(line.data(), 1, line.size(), stdout);
-  std::fputc('\n', stdout);
-  std::fflush(stdout);  // each line is a complete message; don't batch
-}
-
-struct RequestQueue {
-  std::mutex mu;
-  std::condition_variable ready;
-  std::deque<service::QueryRequest> items;
-  bool closed = false;
-
-  void Push(service::QueryRequest request) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      items.push_back(std::move(request));
-    }
-    ready.notify_one();
-  }
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      closed = true;
-    }
-    ready.notify_all();
-  }
-  // Drops everything not yet started (shutdown path); returns the count.
-  size_t Clear() {
-    std::lock_guard<std::mutex> lock(mu);
-    size_t dropped = items.size();
-    items.clear();
-    return dropped;
-  }
-  bool Pop(service::QueryRequest* request) {
-    std::unique_lock<std::mutex> lock(mu);
-    ready.wait(lock, [&] { return closed || !items.empty(); });
-    if (items.empty()) return false;
-    *request = std::move(items.front());
-    items.pop_front();
-    return true;
-  }
-};
-
-// The original byte-compatible stdio transport, now sharing the
-// ShutdownArbiter and the bounded line reader with the socket path.
-int ServeStdio(service::Service& service, int threads,
-               size_t max_line_bytes) {
-  service::ShutdownArbiter& arbiter = service::ShutdownArbiter::Process();
-  RequestQueue queue;
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers.emplace_back([&] {
-      service::QueryRequest request;
-      while (queue.Pop(&request)) EmitResponse(service.Handle(request));
-    });
-  }
-
-  // The watchdog turns the drain signal into cooperative cancellation:
-  // in-flight governors trip, workers finish fast, queued requests are
-  // dropped. Polling is the only option — the reader may be blocked in
-  // a line read and must not be required to notice. Exactly one side
-  // (EOF drain or interrupt path) joins the workers: the arbiter's
-  // Claim() arbitrates.
-  std::atomic<bool> done{false};
-  std::thread watchdog([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (arbiter.drain_requested()) {
-        const size_t dropped = queue.Clear();
-        queue.Close();
-        const size_t cancelled = service.CancelAll();
-        std::fprintf(stderr,
-                     "rav_serve: interrupted — cancelled %zu in-flight, "
-                     "dropped %zu queued request(s)\n",
-                     cancelled, dropped);
-        if (!arbiter.Claim()) return;  // EOF drain owns the wind-down
-        for (std::thread& w : workers) w.join();
-        {
-          std::lock_guard<std::mutex> lock(g_stdout_mu);
-          std::fflush(stdout);
-        }
-        // The reader thread may be parked in a blocking read on an open
-        // stdin; _Exit skips waiting on it (everything is flushed above).
-        std::_Exit(kExitCancelled);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
-
-  std::string line;
-  for (;;) {
-    const service::ReadLineStatus status =
-        service::ReadBoundedLine(std::cin, &line, max_line_bytes);
-    if (status == service::ReadLineStatus::kEof) break;
-    if (status == service::ReadLineStatus::kTooLarge) {
-      EmitResponse(service::MakeRejection(
-          {.error_kind = "request_too_large",
-           .resource = "request_line",
-           .message = "request line exceeds --max-line (" +
-                      std::to_string(max_line_bytes) +
-                      " bytes); it was discarded",
-           .exit_equivalent = kExitError}));
-      continue;
-    }
-    if (line.empty()) continue;
-    Result<service::QueryRequest> request = service::ParseRequest(line);
-    if (!request.ok()) {
-      EmitResponse(service::MakeParseError(line, request.status()));
-      continue;
-    }
-    // Control ops answer inline so they cannot starve behind busy
-    // workers; query ops go to the pool.
-    if (request->op == service::Op::kCancel ||
-        request->op == service::Op::kStats) {
-      EmitResponse(service.Handle(*request));
-    } else {
-      queue.Push(*std::move(request));
-    }
-  }
-
-  queue.Close();
-  if (!arbiter.Claim()) {
-    // The interrupt path got there first and will join + _Exit; just
-    // wait for it.
-    for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
-  }
-  for (std::thread& w : workers) w.join();
-  done.store(true, std::memory_order_relaxed);
-  watchdog.join();
-  std::fflush(stdout);
-  return arbiter.drain_requested() ? kExitCancelled : kExitOk;
-}
-
 int Main(int argc, char** argv) {
-  int threads = service::kDefaultServeThreads;
   size_t cache_capacity = 64;
-  size_t max_line_bytes = service::kDefaultMaxRequestLineBytes;
   bool socket_mode = false;
   service::TransportOptions transport;
   auto usage = [] {
@@ -237,7 +94,14 @@ int Main(int argc, char** argv) {
                      "rav_serve: --threads must be a non-negative integer\n");
         return kExitUsage;
       }
-      threads = *parsed;
+      if (*parsed > service::kMaxRequestThreads) {
+        std::fprintf(stderr,
+                     "rav_serve: --threads must be <= %d "
+                     "(kMaxRequestThreads)\n",
+                     service::kMaxRequestThreads);
+        return kExitUsage;
+      }
+      transport.threads = *parsed;
     } else if (arg == "--cache" && i + 1 < argc) {
       Result<int> parsed = ParseInt32(argv[++i]);
       if (!parsed.ok() || *parsed < 1) {
@@ -253,7 +117,7 @@ int Main(int argc, char** argv) {
                      "(e.g. 1m, 64k)\n");
         return kExitUsage;
       }
-      max_line_bytes = static_cast<size_t>(*parsed);
+      transport.max_line_bytes = static_cast<size_t>(*parsed);
     } else if (arg == "--listen" && i + 1 < argc) {
       if (Status parsed = service::ParseListenAddress(argv[++i], &transport);
           !parsed.ok()) {
@@ -282,9 +146,9 @@ int Main(int argc, char** argv) {
       return usage();
     }
   }
-  if (threads == 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads == 0) threads = 1;
+  if (transport.threads == 0) {
+    transport.threads = static_cast<int>(std::thread::hardware_concurrency());
+    if (transport.threads == 0) transport.threads = 1;
   }
 
   service::ServiceOptions options;
@@ -292,22 +156,29 @@ int Main(int argc, char** argv) {
   service::Service service(options);
 
   service::ShutdownArbiter::InstallSignalHandlers();
-
-  if (!socket_mode) return ServeStdio(service, threads, max_line_bytes);
-
-  transport.threads = threads;
-  transport.max_line_bytes = max_line_bytes;
   service::SocketTransport server(&service,
                                   &service::ShutdownArbiter::Process(),
                                   transport);
-  if (Status listening = server.Listen(); !listening.ok()) {
-    std::fprintf(stderr, "rav_serve: %s\n", listening.ToString().c_str());
-    return kExitError;
+  if (socket_mode) {
+    if (Status listening = server.Listen(); !listening.ok()) {
+      std::fprintf(stderr, "rav_serve: %s\n", listening.ToString().c_str());
+      return kExitError;
+    }
+    std::fprintf(stderr, "rav_serve: listening on %s:%d\n",
+                 transport.host.c_str(), server.bound_port());
+  } else {
+    server.AddStream(STDIN_FILENO, STDOUT_FILENO);
   }
-  std::fprintf(stderr, "rav_serve: listening on %s:%d\n",
-               transport.host.c_str(), server.bound_port());
   const int code = server.Serve();
-  std::fprintf(stderr, "rav_serve: drained, exiting %d\n", code);
+  if (code == kExitCancelled) {
+    std::fprintf(stderr, "rav_serve: drained, exiting %d\n", code);
+  } else if (code != kExitOk) {
+    std::fprintf(stderr, "rav_serve: %s, exiting %d\n",
+                 socket_mode ? "poll failed"
+                             : "reading stdin or writing stdout failed; "
+                               "in-flight requests cancelled",
+                 code);
+  }
   return code;
 }
 
